@@ -12,32 +12,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from pathlib import Path
 
-from .config import MonitorConfig, parse_config
-from .data import ScoredDataset, load_csv
+from .config import MonitorConfig, build_config, parse_config
 from .errors import ConfigError, ModelWatchError
 from .report import (
+    SECTIONS,
     MonitoringReport,
+    RunInputs,
+    alerts_exit_code,
     collect_alerts,
-    concept_section,
-    drift_section,
     exit_code_for,
-    quality_section,
     render_report,
-    robustness_section,
     run_monitor,
-    uncertainty_section,
-    weakness_section,
     _json_safe,
 )
 
+# command -> (report section it runs, help text)
 SECTION_COMMANDS = {
-    "quality": "data_quality",
-    "drift": "drift",
-    "concept-drift": "concept_drift",
-    "conformal": "uncertainty",
-    "weakness": "weakness",
-    "robustness": "robustness",
+    "quality": ("data_quality", "data-quality profile of the current dataset"),
+    "drift": ("drift", "reference-to-current distribution shift scan"),
+    "concept-drift": ("concept_drift", "concept vs input drift diagnosis"),
+    "conformal": ("uncertainty", "conformal uncertainty summary"),
+    "weakness": ("weakness", "segment weakness tables"),
+    "robustness": ("robustness", "noise sensitivity and invariance tests"),
 }
 
 
@@ -58,12 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     monitor = add_run_command("monitor", "run the full monitoring pipeline")
     monitor.add_argument("--format", choices=("json", "text"), default="json")
 
-    add_run_command("quality", "data-quality profile of the current dataset")
-    add_run_command("drift", "reference-to-current distribution shift scan")
-    add_run_command("concept-drift", "concept vs input drift diagnosis")
-    add_run_command("conformal", "conformal uncertainty summary")
-    add_run_command("weakness", "segment weakness tables")
-    add_run_command("robustness", "noise sensitivity and invariance tests")
+    for name, (_, help_text) in SECTION_COMMANDS.items():
+        add_run_command(name, help_text)
 
     report = sub.add_parser("report", help="re-render a saved report")
     report.add_argument("--in", dest="in_path", required=True, help="saved report JSON")
@@ -75,12 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> MonitorConfig:
     cfg = parse_config(args.config)
     if args.seed is not None:
-        doc = dict(cfg.effective)
-        doc["seed"] = args.seed
-        from .config import build_config
-        from pathlib import Path
-
-        cfg = build_config(doc, base_dir=Path(args.config).parent)
+        cfg = build_config({**cfg.effective, "seed": args.seed}, base_dir=Path(args.config).parent)
     return cfg
 
 
@@ -90,43 +80,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _run_section(cfg: MonitorConfig, section_name: str) -> dict:
-    reference = load_csv(cfg.reference_path, cfg.schema, cfg.missing_tokens)
-    current = load_csv(cfg.current_path, cfg.schema, cfg.missing_tokens)
-
-    def scored(ds, which: str) -> ScoredDataset:
-        if not isinstance(ds, ScoredDataset):
-            raise ConfigError(f"{which} dataset must carry target and prediction columns")
-        return ds
-
-    if section_name == "data_quality":
-        return quality_section(cfg, current)
-    if section_name == "drift":
-        section, _ = drift_section(cfg, scored(reference, "reference"), scored(current, "current"))
-        return section
-    if section_name == "concept_drift":
-        return concept_section(cfg, scored(reference, "reference"), scored(current, "current"))
-    if section_name == "uncertainty":
-        return uncertainty_section(cfg, scored(current, "current"))
-    if section_name == "weakness":
-        train = None
-        if cfg.train_path is not None:
-            train = load_csv(cfg.train_path, cfg.schema, cfg.missing_tokens)
-        return weakness_section(cfg, scored(current, "current"), train)
-    if section_name == "robustness":
-        return robustness_section(cfg, scored(current, "current"))
-    raise ValueError(section_name)
-
-
-def _exit_code_for_alerts(alerts: list[dict]) -> int:
-    severities = {a["severity"] for a in alerts}
-    if "fail" in severities:
-        return 4
-    if "warn" in severities:
-        return 3
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -140,16 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             with open(args.in_path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-            report = MonitoringReport(
-                run_id=doc["run_id"],
-                created_at=doc["created_at"],
-                status=doc["status"],
-                config_digest=doc["config_digest"],
-                config=doc["config"],
-                datasets=doc["datasets"],
-                sections=doc["sections"],
-                alerts=doc["alerts"],
-            )
+            report = MonitoringReport(**{f.name: doc[f.name] for f in fields(MonitoringReport)})
             _emit(render_report(report, args.format), args.out)
             return 0
 
@@ -159,12 +103,12 @@ def main(argv: list[str] | None = None) -> int:
             _emit(render_report(report, args.format), args.out)
             return exit_code_for(report)
 
-        section_name = SECTION_COMMANDS[args.command]
-        section = _json_safe(_run_section(cfg, section_name))
+        section_name = SECTION_COMMANDS[args.command][0]
+        section = _json_safe(SECTIONS[section_name](cfg, RunInputs(cfg)))
         alerts = collect_alerts({section_name: section})
         doc = {"section": section_name, "result": section, "alerts": alerts}
         _emit(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", args.out)
-        return _exit_code_for_alerts(alerts)
+        return alerts_exit_code(alerts)
 
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -13,7 +13,7 @@ reweights the development residuals toward the new input distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from typing import Sequence
 
 import numpy as np
@@ -218,11 +218,19 @@ def classify_drift(
     return DriftDiagnosis(verdict, list(scan), test, match.mean_match_distance, notes)
 
 
+def _epoch_seconds(text: str) -> float:
+    moment = datetime.fromisoformat(text)
+    if moment.tzinfo is None:  # naive: UTC, whatever the local time zone
+        moment = moment.replace(tzinfo=timezone.utc)
+    return moment.timestamp()
+
+
 def _timestamp_axis(ts: np.ndarray) -> np.ndarray:
-    """Numeric axis for duration windows; ISO-8601 strings become epoch seconds."""
+    """Numeric axis for duration windows; ISO-8601 strings become epoch
+    seconds, with naive timestamps read as UTC."""
     if ts.dtype == object:
         try:
-            return np.array([datetime.fromisoformat(str(v)).timestamp() for v in ts])
+            return np.array([_epoch_seconds(str(v)) for v in ts])
         except ValueError as exc:
             raise NoTimestamps(f"timestamps are not numeric or ISO-8601: {exc}") from None
     return ts.astype(np.float64)

@@ -19,24 +19,10 @@ from .shift import (
     CATEGORICAL_METRICS,
     DEFAULT_BINS,
     DEFAULT_EPSILON,
-    DEFAULT_THRESHOLDS,
-    METRIC_DIRECTIONS,
+    METRICS,
     MULTIVARIATE_METRICS,
     NUMERIC_METRICS,
 )
-
-# Thresholds owned by report assembly rather than the drift scan. Directions:
-# "high" means larger is worse, "low" means smaller (p-values) is worse.
-EXTRA_THRESHOLD_DEFAULTS = {
-    "missing_fraction": (0.2, 0.5),
-    "outlier_fraction": (0.05, 0.10),
-    "perf_ratio": (1.2, 1.5),
-    "coverage_shortfall": (0.02, 0.05),
-}
-EXTRA_DIRECTIONS = {key: "high" for key in EXTRA_THRESHOLD_DEFAULTS}
-
-ALL_THRESHOLD_DEFAULTS = {**DEFAULT_THRESHOLDS, **EXTRA_THRESHOLD_DEFAULTS}
-ALL_DIRECTIONS = {**METRIC_DIRECTIONS, **EXTRA_DIRECTIONS}
 
 VALID_RESIDUAL_TESTS = ("ks", "cvm")
 VALID_MATCH_METRICS = ("euclidean_standardized", "mahalanobis")
@@ -96,35 +82,33 @@ def _check_type(value, types, pointer: str, description: str):
 
 
 def _parse_thresholds(doc: dict) -> dict[str, tuple[float, float]]:
-    merged = {k: tuple(v) for k, v in ALL_THRESHOLD_DEFAULTS.items()}
+    merged = {key: metric.defaults for key, metric in METRICS.items()}
     user = doc.get("thresholds", {})
     _check_type(user, dict, "/thresholds", "an object of metric: {warn, fail}")
     for key, pair in user.items():
         pointer = f"/thresholds/{key}"
-        if key not in ALL_THRESHOLD_DEFAULTS:
-            raise ConfigError(
-                f"unknown threshold {key!r}; valid: {sorted(ALL_THRESHOLD_DEFAULTS)}", pointer
-            )
+        if key not in METRICS:
+            raise ConfigError(f"unknown threshold {key!r}; valid: {sorted(METRICS)}", pointer)
         _check_type(pair, dict, pointer, "an object {warn, fail}")
         try:
             warn = float(pair["warn"])
             fail = float(pair["fail"])
         except (KeyError, TypeError, ValueError):
             raise ConfigError("needs numeric 'warn' and 'fail'", pointer) from None
-        if ALL_DIRECTIONS[key] == "high":
-            if warn > fail:
-                raise ConfigError(f"warn {warn:g} must not exceed fail {fail:g}", pointer)
-        else:
-            if warn < fail:
-                raise ConfigError(
-                    f"warn {warn:g} must not be below fail {fail:g} for p-value metrics", pointer
-                )
+        high = METRICS[key].direction == "high"
+        if high and warn > fail:
+            raise ConfigError(f"warn {warn:g} must not exceed fail {fail:g}", pointer)
+        if not high and warn < fail:
+            raise ConfigError(
+                f"warn {warn:g} must not be below fail {fail:g} for p-value metrics", pointer
+            )
         merged[key] = (warn, fail)
     return merged
 
 
-def _parse_metric_list(doc: dict, key: str, valid: tuple[str, ...], pointer: str) -> tuple[str, ...]:
-    names = doc.get(key, list(valid))
+def _parse_metric_list(drift: dict, kind: str, valid: tuple[str, ...]) -> tuple[str, ...]:
+    pointer = f"/drift/{kind}_metrics"
+    names = drift.get(f"{kind}_metrics", list(valid))
     _check_type(names, list, pointer, "a list of metric names")
     for name in names:
         if name not in valid:
@@ -156,13 +140,9 @@ def build_config(doc: dict, base_dir: Path | str = ".") -> MonitorConfig:
 
     drift = doc.get("drift", {})
     _check_type(drift, dict, "/drift", "an object")
-    numeric_metrics = _parse_metric_list(drift, "numeric_metrics", NUMERIC_METRICS, "/drift/numeric_metrics")
-    categorical_metrics = _parse_metric_list(
-        drift, "categorical_metrics", CATEGORICAL_METRICS, "/drift/categorical_metrics"
-    )
-    multivariate_metrics = _parse_metric_list(
-        drift, "multivariate_metrics", MULTIVARIATE_METRICS, "/drift/multivariate_metrics"
-    )
+    numeric_metrics = _parse_metric_list(drift, "numeric", NUMERIC_METRICS)
+    categorical_metrics = _parse_metric_list(drift, "categorical", CATEGORICAL_METRICS)
+    multivariate_metrics = _parse_metric_list(drift, "multivariate", MULTIVARIATE_METRICS)
 
     thresholds = _parse_thresholds(doc)
 

@@ -24,6 +24,7 @@ from .errors import (
     EmptyDataset,
     MissingColumn,
     SchemaError,
+    ShortRow,
     TypeParseError,
 )
 
@@ -464,6 +465,10 @@ def load_csv(
             if spec.name not in positions:
                 raise MissingColumn(spec.name)
         rows = list(reader)
+    needed = max(positions.values(), default=-1) + 1
+    for i, r in enumerate(rows):
+        if len(r) < needed:
+            raise ShortRow(i, len(header), len(r))
 
     has_target = schema.role_column("target") is not None
     has_pred = schema.role_column("prediction") is not None
@@ -538,6 +543,15 @@ def _format_float(v: float) -> str:
     return repr(float(v))
 
 
+def feature_cells(col: Column) -> list[str]:
+    """CSV cells of a feature column: missing cells empty, floats in their
+    shortest round-tripping form, categories as their labels."""
+    missing = col.missing_mask.tolist()
+    if isinstance(col, NumericColumn):
+        return ["" if m else _format_float(v) for v, m in zip(col.values.tolist(), missing)]
+    return ["" if m else col.labels[c] for c, m in zip(col.codes.tolist(), missing)]
+
+
 def write_csv(obj: FeatureFrame | ScoredDataset, path, schema: Schema) -> None:
     """Write a frame or scored dataset as CSV in schema column order.
 
@@ -546,16 +560,10 @@ def write_csv(obj: FeatureFrame | ScoredDataset, path, schema: Schema) -> None:
     missing masks exactly.
     """
     frame = obj.frame if isinstance(obj, ScoredDataset) else obj
-    n = frame.n_rows
 
     def column_cells(spec: ColumnSpec) -> list[str]:
         if spec.role == "feature":
-            col = frame.column(spec.name)
-            if isinstance(col, NumericColumn):
-                return [
-                    "" if col.missing_mask[i] else _format_float(col.values[i]) for i in range(n)
-                ]
-            return ["" if col.missing_mask[i] else col.label_at(i) for i in range(n)]
+            return feature_cells(frame.column(spec.name))
         if not isinstance(obj, ScoredDataset):
             raise SchemaError(f"schema role {spec.role!r} requires a ScoredDataset")
         arrays = {
@@ -573,12 +581,11 @@ def write_csv(obj: FeatureFrame | ScoredDataset, path, schema: Schema) -> None:
             return [str(v) for v in arr]
         return [_format_float(v) for v in arr]
 
-    columns = {spec.name: column_cells(spec) for spec in schema}
+    columns = [column_cells(spec) for spec in schema]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(schema.names))
-        for i in range(n):
-            writer.writerow([columns[name][i] for name in schema.names])
+        writer.writerows(zip(*columns))
 
 
 # ---------------------------------------------------------------------------

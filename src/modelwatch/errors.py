@@ -31,6 +31,16 @@ class TypeParseError(ModelWatchError):
         self.token = token
 
 
+class ShortRow(ModelWatchError):
+    """A CSV data row has too few cells to hold every schema column."""
+
+    def __init__(self, row: int, expected: int, found: int):
+        super().__init__(f"row {row}: expected {expected} cells as in the header, found {found}")
+        self.row = row
+        self.expected = expected
+        self.found = found
+
+
 class EmptyDataset(ModelWatchError):
     """Operation requires at least one row."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureFrame, NumericColumn
+from .data import FeatureFrame, feature_cells
 from .errors import ModelProtocolError
 
 
@@ -27,18 +27,7 @@ def frame_to_csv(frame: FeatureFrame) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(list(frame.names))
-    cells = []
-    for col in frame.columns:
-        if isinstance(col, NumericColumn):
-            cells.append(
-                ["" if col.missing_mask[i] else repr(float(col.values[i])) for i in range(frame.n_rows)]
-            )
-        else:
-            cells.append(
-                ["" if col.missing_mask[i] else col.label_at(i) for i in range(frame.n_rows)]
-            )
-    for i in range(frame.n_rows):
-        writer.writerow([c[i] for c in cells])
+    writer.writerows(zip(*(feature_cells(col) for col in frame.columns)))
     return buf.getvalue()
 
 

@@ -15,29 +15,20 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 
 from . import conformal as cp
 from . import outcome, quality
 from .concept import ClassifyDriftConfig, classify_drift
-from .config import ALL_DIRECTIONS, MonitorConfig
+from .config import MonitorConfig
 from .data import FeatureFrame, NumericColumn, ScoredDataset, load_csv
 from .errors import ConfigError, ModelWatchError
 from .external import ExternalModel
-from .shift import DriftScanConfig, apply_thresholds, drift_scan
-
-SECTION_ORDER = (
-    "data_quality",
-    "drift",
-    "concept_drift",
-    "performance",
-    "uncertainty",
-    "weakness",
-    "robustness",
-)
+from .shift import METRICS, DriftScanConfig, apply_thresholds, drift_scan
 
 
 @dataclass(frozen=True)
@@ -135,21 +126,34 @@ def _created_at() -> str:
 
 def _verdict(cfg: MonitorConfig, key: str, value: float) -> str:
     warn, fail = cfg.threshold_pair(key)
-    return apply_thresholds(value, warn, fail, ALL_DIRECTIONS[key])
+    return apply_thresholds(value, warn, fail, METRICS[key].direction)
 
 
 def _scan_config(cfg: MonitorConfig) -> DriftScanConfig:
-    return DriftScanConfig(
-        bins=cfg.bins,
-        epsilon=cfg.epsilon,
-        numeric_metrics=cfg.numeric_metrics,
-        categorical_metrics=cfg.categorical_metrics,
-        multivariate_metrics=cfg.multivariate_metrics,
-        thresholds=cfg.thresholds,
-        n_permutations=cfg.n_permutations,
-        seed=cfg.seed,
-        variance_fraction=cfg.variance_fraction,
-    )
+    # every DriftScanConfig field has a MonitorConfig field of the same name
+    return DriftScanConfig(**{f.name: getattr(cfg, f.name) for f in fields(DriftScanConfig)})
+
+
+class RunInputs:
+    """The datasets of one run: reference and current are loaded up front,
+    train on first use, so a section opens only the files it reads."""
+
+    def __init__(self, cfg: MonitorConfig):
+        self.cfg = cfg
+        self.reference = load_csv(cfg.reference_path, cfg.schema, cfg.missing_tokens)
+        self.current = load_csv(cfg.current_path, cfg.schema, cfg.missing_tokens)
+        self.drift_results = None  # set by the drift section, reused by concept drift
+
+    @cached_property
+    def train(self) -> ScoredDataset | None:
+        path = self.cfg.train_path
+        return None if path is None else load_csv(path, self.cfg.schema, self.cfg.missing_tokens)
+
+    def scored(self, which: str) -> ScoredDataset:
+        dataset = getattr(self, which)
+        if not isinstance(dataset, ScoredDataset):
+            raise ConfigError(f"{which} dataset must carry target and prediction columns")
+        return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +218,10 @@ def quality_section(cfg: MonitorConfig, current: FeatureFrame | ScoredDataset) -
     }
 
 
-def drift_section(cfg: MonitorConfig, reference: ScoredDataset, current: ScoredDataset) -> tuple[dict, list]:
-    results = drift_scan(reference, current, _scan_config(cfg))
-    section = {"status": "ok", "results": [r.to_json_dict() for r in results]}
-    return section, results
+def drift_section(cfg: MonitorConfig, data: RunInputs) -> dict:
+    reference, current = data.scored("reference"), data.scored("current")
+    data.drift_results = drift_scan(reference, current, _scan_config(cfg))
+    return {"status": "ok", "results": [r.to_json_dict() for r in data.drift_results]}
 
 
 def _impute_numeric_medians(frame: FeatureFrame) -> tuple[FeatureFrame, list[str]]:
@@ -485,69 +489,47 @@ def collect_alerts(sections: dict) -> list[dict]:
     return alerts
 
 
+# Section name -> stage taking (cfg, RunInputs), in report order. The
+# stages call the section functions through their module-level names, so
+# wrappers installed on those names see the calls.
+SECTIONS = {
+    "data_quality": lambda cfg, data: quality_section(cfg, data.current),
+    "drift": lambda cfg, data: drift_section(cfg, data),
+    "concept_drift": lambda cfg, data: concept_section(
+        cfg, data.scored("reference"), data.scored("current"), data.drift_results
+    ),
+    "performance": lambda cfg, data: performance_section(
+        cfg, data.scored("reference"), data.scored("current")
+    ),
+    "uncertainty": lambda cfg, data: uncertainty_section(cfg, data.scored("current")),
+    "weakness": lambda cfg, data: weakness_section(cfg, data.scored("current"), data.train),
+    "robustness": lambda cfg, data: robustness_section(cfg, data.scored("current")),
+}
+
+
 def run_monitor(cfg: MonitorConfig) -> MonitoringReport:
     """Execute the full monitoring pipeline under a parsed config."""
-    reference = load_csv(cfg.reference_path, cfg.schema, cfg.missing_tokens)
-    current = load_csv(cfg.current_path, cfg.schema, cfg.missing_tokens)
-    if not isinstance(reference, ScoredDataset) or not isinstance(current, ScoredDataset):
+    data = RunInputs(cfg)
+    if not isinstance(data.reference, ScoredDataset) or not isinstance(data.current, ScoredDataset):
         raise ConfigError("monitoring needs scored datasets: schema must define target and prediction")
-    train = None
-    if cfg.train_path is not None:
-        train = load_csv(cfg.train_path, cfg.schema, cfg.missing_tokens)
-
     datasets = {
-        "reference": fingerprint_dataset(reference),
-        "current": fingerprint_dataset(current),
+        "reference": fingerprint_dataset(data.reference),
+        "current": fingerprint_dataset(data.current),
     }
-    if train is not None:
-        datasets["train"] = fingerprint_dataset(train)
+    if data.train is not None:
+        datasets["train"] = fingerprint_dataset(data.train)
 
     sections: dict = {}
     status = "complete"
-
-    def run_stage(name: str, fn):
+    for name, stage in SECTIONS.items():
         # a broken stage yields a structured error section and an incomplete
         # report instead of aborting the whole run
-        nonlocal status
         try:
-            return fn()
+            sections[name] = _json_safe(stage(cfg, data))
         except Exception as exc:
             status = "incomplete"
             sections[name] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
-            return None
 
-    result = run_stage("data_quality", lambda: quality_section(cfg, current))
-    if result is not None:
-        sections["data_quality"] = result
-
-    scan_results = None
-    result = run_stage("drift", lambda: drift_section(cfg, reference, current))
-    if result is not None:
-        sections["drift"], scan_results = result
-
-    result = run_stage(
-        "concept_drift", lambda: concept_section(cfg, reference, current, scan_results)
-    )
-    if result is not None:
-        sections["concept_drift"] = result
-
-    result = run_stage("performance", lambda: performance_section(cfg, reference, current))
-    if result is not None:
-        sections["performance"] = result
-
-    result = run_stage("uncertainty", lambda: uncertainty_section(cfg, current))
-    if result is not None:
-        sections["uncertainty"] = result
-
-    result = run_stage("weakness", lambda: weakness_section(cfg, current, train))
-    if result is not None:
-        sections["weakness"] = result
-
-    result = run_stage("robustness", lambda: robustness_section(cfg, current))
-    if result is not None:
-        sections["robustness"] = result
-
-    sections = {name: _json_safe(sections[name]) for name in SECTION_ORDER if name in sections}
     alerts = collect_alerts(sections)
     digest = config_digest(cfg.effective)
     run_id = hashlib.sha256(
@@ -589,11 +571,9 @@ def render_report(report: MonitoringReport, format: str = "json") -> str:
         status = section.get("status", "ok")
         lines.append(f"{name}: {status}")
         if name == "drift" and status == "ok":
-            fails = [r for r in section["results"] if r["verdict"] == "fail"]
-            warns = [r for r in section["results"] if r["verdict"] == "warn"]
-            lines.append(
-                f"  {len(section['results'])} results, {len(warns)} warn, {len(fails)} fail"
-            )
+            verdicts = [r["verdict"] for r in section["results"]]
+            warns, fails = verdicts.count("warn"), verdicts.count("fail")
+            lines.append(f"  {len(verdicts)} results, {warns} warn, {fails} fail")
         if name == "concept_drift" and status == "ok":
             lines.append(f"  drift_type: {section['diagnosis']['drift_type']}")
         if name == "performance" and status == "ok":
@@ -605,11 +585,10 @@ def render_report(report: MonitoringReport, format: str = "json") -> str:
 
 def exit_code_for(report: MonitoringReport) -> int:
     """CI exit contract: 0 all pass, 3 warns only, 4 any fail, 1 incomplete run."""
-    if report.status != "complete":
-        return 1
-    severities = {a["severity"] for a in report.alerts}
-    if "fail" in severities:
-        return 4
-    if "warn" in severities:
-        return 3
-    return 0
+    return alerts_exit_code(report.alerts) if report.status == "complete" else 1
+
+
+def alerts_exit_code(alerts: list[dict]) -> int:
+    """0 when no alert, 3 for warns only, 4 for any fail."""
+    severities = {a["severity"] for a in alerts}
+    return 4 if "fail" in severities else 3 if "warn" in severities else 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class DriftResult:
     thresholds: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "feature": self.feature,
             "metric": self.metric,
             "statistic": self.statistic,
@@ -80,7 +80,6 @@ class DriftResult:
             "verdict": self.verdict,
             "thresholds": dict(self.thresholds),
         }
-        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -395,32 +394,80 @@ def permutation_pvalue(metric: str, X, Y, n_permutations: int = 199, seed: int =
 # Drift scan
 # ---------------------------------------------------------------------------
 
-# Direction "high": larger statistic is worse; "low": smaller p is worse.
-METRIC_DIRECTIONS = {
-    "ks": "low",
-    "psi": "high",
-    "jsd": "high",
-    "tvd": "high",
-    "wasserstein1": "high",
-    "energy": "low",
-    "mmd2": "low",
-    "pca_recon": "high",
+
+@dataclass(frozen=True)
+class _Samples:
+    """Reference and current values of one scan block, its histogram pair
+    (univariate features only) and the scan settings."""
+
+    x: object
+    y: object
+    hist: HistogramPair | None
+    cfg: "DriftScanConfig"
+
+
+def _pvalue(metric: str, s: _Samples) -> float:
+    return permutation_pvalue(metric, s.x, s.y, s.cfg.n_permutations, s.cfg.seed)
+
+
+def _pca_recon_ratio(s: _Samples) -> float:
+    basis = pca_reconstruction_fit(s.x, s.cfg.variance_fraction)
+    ref_err = float(pca_reconstruction_errors(basis, s.x).mean())
+    cur_err = float(pca_reconstruction_errors(basis, s.y).mean())
+    if ref_err <= 1e-12:
+        return 1.0 if cur_err <= 1e-12 else np.inf
+    return cur_err / ref_err
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One thresholded metric. ``kinds``: "numeric", "categorical",
+    "multivariate" (scan blocks) or "report" (computed by report assembly).
+    ``direction`` "high" thresholds the statistic, larger is worse; "low"
+    thresholds the p-value, smaller is worse, and ``statistic`` then returns
+    (statistic, p-value). ``scaled`` thresholds are in reference stds."""
+
+    kinds: tuple[str, ...]
+    direction: str
+    defaults: tuple[float, float]  # (warn, fail)
+    statistic: Callable[[_Samples], object] | None = None
+    scaled: bool = False
+
+
+# The one source of metric kinds, directions and default thresholds, in the
+# scan's result order: PSI's industry-convention (0.1, 0.25) for divergences,
+# (0.05, 0.01) p-value levels, a current/reference mean error ratio for
+# pca_recon. Statistics call module-level names so installed wrappers see them.
+METRICS = {
+    "ks": Metric(("numeric",), "low", (0.05, 0.01), lambda s: ks_two_sample(s.x, s.y)),
+    "psi": Metric(("numeric", "categorical"), "high", (0.1, 0.25), lambda s: psi(s.hist)),
+    "jsd": Metric(("numeric", "categorical"), "high", (0.1, 0.25), lambda s: jsd(s.hist)),
+    "tvd": Metric(("categorical",), "high", (0.1, 0.25), lambda s: tvd(s.hist)),
+    "wasserstein1": Metric(
+        ("numeric",), "high", (0.1, 0.25), lambda s: wasserstein1(s.x, s.y), scaled=True
+    ),
+    "energy": Metric(
+        ("multivariate",), "low", (0.05, 0.01),
+        lambda s: (energy_distance(s.x, s.y), _pvalue("energy", s)),
+    ),
+    "mmd2": Metric(
+        ("multivariate",), "low", (0.05, 0.01), lambda s: (mmd2(s.x, s.y), _pvalue("mmd2", s))
+    ),
+    "pca_recon": Metric(("multivariate",), "high", (2.0, 4.0), lambda s: _pca_recon_ratio(s)),
+    "missing_fraction": Metric(("report",), "high", (0.2, 0.5)),
+    "outlier_fraction": Metric(("report",), "high", (0.05, 0.10)),
+    "perf_ratio": Metric(("report",), "high", (1.2, 1.5)),
+    "coverage_shortfall": Metric(("report",), "high", (0.02, 0.05)),
 }
 
-DEFAULT_THRESHOLDS = {
-    "psi": (0.1, 0.25),  # industry convention
-    "jsd": (0.1, 0.25),
-    "tvd": (0.1, 0.25),
-    "wasserstein1": (0.1, 0.25),  # in units of the reference std
-    "ks": (0.05, 0.01),  # p-value levels
-    "energy": (0.05, 0.01),
-    "mmd2": (0.05, 0.01),
-    "pca_recon": (2.0, 4.0),  # current/reference mean error ratio
-}
 
-NUMERIC_METRICS = ("ks", "psi", "jsd", "wasserstein1")
-CATEGORICAL_METRICS = ("psi", "jsd", "tvd")
-MULTIVARIATE_METRICS = ("energy", "mmd2", "pca_recon")
+def _metrics_of(kind: str) -> tuple[str, ...]:
+    return tuple(name for name, m in METRICS.items() if kind in m.kinds)
+
+
+NUMERIC_METRICS = _metrics_of("numeric")
+CATEGORICAL_METRICS = _metrics_of("categorical")
+MULTIVARIATE_METRICS = _metrics_of("multivariate")
 
 
 @dataclass(frozen=True)
@@ -436,15 +483,16 @@ class DriftScanConfig:
     variance_fraction: float = 0.95
 
     def threshold_pair(self, metric: str) -> tuple[float, float]:
-        if metric in self.thresholds:
-            pair = self.thresholds[metric]
-            return float(pair[0]), float(pair[1])
-        return DEFAULT_THRESHOLDS[metric]
+        pair = self.thresholds.get(metric, METRICS[metric].defaults)
+        return float(pair[0]), float(pair[1])
 
 
 def apply_thresholds(value: float, warn: float, fail: float, direction: str = "high") -> str:
     """Map a value to pass/warn/fail. ``direction`` high: larger is worse;
-    low: smaller is worse (p-values)."""
+    low: smaller is worse (p-values). NaN is always "fail": a statistic that
+    could not be computed must never pass."""
+    if np.isnan(value):
+        return "fail"
     if direction == "high":
         if value >= fail:
             return "fail"
@@ -458,16 +506,35 @@ def apply_thresholds(value: float, warn: float, fail: float, direction: str = "h
     return "pass"
 
 
-def verdict_for(metric: str, value: float, warn: float, fail: float) -> str:
-    return apply_thresholds(value, warn, fail, METRIC_DIRECTIONS[metric])
-
-
 def _frames_compatible(a: FeatureFrame, b: FeatureFrame) -> None:
     if a.names != b.names:
         raise SchemaMismatch(f"column names differ: {a.names} vs {b.names}")
     for name in a.names:
         if type(a.column(name)) is not type(b.column(name)):
             raise SchemaMismatch(f"column {name!r} kind differs between frames")
+
+
+def _evaluate(metric: str, kind: str, feature: str | None, s: _Samples) -> DriftResult:
+    """Compute one metric and threshold it in its direction: the p-value
+    against (warn_p, fail_p) for "low" metrics, else the statistic against
+    (warn, fail)."""
+    spec = METRICS.get(metric)
+    if spec is None or kind not in spec.kinds:
+        raise ValueError(f"unknown {kind} metric {metric!r}")
+    warn, fail = s.cfg.threshold_pair(metric)
+    if spec.direction == "low":
+        statistic, p = spec.statistic(s)
+        verdict = apply_thresholds(p, warn, fail, "low")
+        return DriftResult(metric, statistic, verdict, feature, p, {"warn_p": warn, "fail_p": fail})
+    statistic = spec.statistic(s)
+    if spec.scaled:
+        scale = float(s.x.std())
+        if scale > 0:
+            warn, fail = warn * scale, fail * scale
+    verdict = apply_thresholds(statistic, warn, fail)
+    return DriftResult(
+        metric, float(statistic), verdict, feature, thresholds={"warn": warn, "fail": fail}
+    )
 
 
 def drift_scan(
@@ -490,95 +557,30 @@ def drift_scan(
     cur = current.frame if isinstance(current, ScoredDataset) else current
     _frames_compatible(ref, cur)
 
-    results: list[DriftResult] = []
+    blocks: list[tuple[str, str | None, tuple[str, ...], _Samples]] = []  # kind, feature, metrics
     for name in ref.names:
         rcol, ccol = ref.column(name), cur.column(name)
         if isinstance(rcol, NumericColumn):
             x, y = rcol.observed(), ccol.observed()
-            if x.size == 0 or y.size == 0:
-                continue
-            hist = make_histogram_pair(x, y, cfg.bins, cfg.epsilon)
-            for metric in cfg.numeric_metrics:
-                warn, fail = cfg.threshold_pair(metric)
-                if metric == "ks":
-                    d, p = ks_two_sample(x, y)
-                    results.append(
-                        DriftResult(
-                            "ks", d, verdict_for("ks", p, warn, fail), name, p,
-                            {"warn_p": warn, "fail_p": fail},
-                        )
-                    )
-                elif metric == "psi":
-                    v = psi(hist)
-                    results.append(
-                        DriftResult("psi", v, verdict_for("psi", v, warn, fail), name,
-                                    thresholds={"warn": warn, "fail": fail})
-                    )
-                elif metric == "jsd":
-                    v = jsd(hist)
-                    results.append(
-                        DriftResult("jsd", v, verdict_for("jsd", v, warn, fail), name,
-                                    thresholds={"warn": warn, "fail": fail})
-                    )
-                elif metric == "wasserstein1":
-                    v = wasserstein1(x, y)
-                    scale = float(x.std())
-                    w_scaled = warn * scale if scale > 0 else warn
-                    f_scaled = fail * scale if scale > 0 else fail
-                    results.append(
-                        DriftResult(
-                            "wasserstein1", v,
-                            verdict_for("wasserstein1", v, w_scaled, f_scaled), name,
-                            thresholds={"warn": w_scaled, "fail": f_scaled},
-                        )
-                    )
-                else:
-                    raise ValueError(f"unknown numeric metric {metric!r}")
+            if x.size and y.size:
+                samples = _Samples(x, y, make_histogram_pair(x, y, cfg.bins, cfg.epsilon), cfg)
+                blocks.append(("numeric", name, cfg.numeric_metrics, samples))
         else:
-            x_labels = rcol.observed_labels()
-            y_labels = ccol.observed_labels()
-            if not x_labels or not y_labels:
-                continue
-            freq = make_frequency_pair(x_labels, y_labels, cfg.epsilon)
-            for metric in cfg.categorical_metrics:
-                warn, fail = cfg.threshold_pair(metric)
-                fn = {"psi": psi, "jsd": jsd, "tvd": tvd}.get(metric)
-                if fn is None:
-                    raise ValueError(f"unknown categorical metric {metric!r}")
-                v = fn(freq)
-                results.append(
-                    DriftResult(metric, v, verdict_for(metric, v, warn, fail), name,
-                                thresholds={"warn": warn, "fail": fail})
-                )
+            x, y = rcol.observed_labels(), ccol.observed_labels()
+            if x and y:
+                samples = _Samples(x, y, make_frequency_pair(x, y, cfg.epsilon), cfg)
+                blocks.append(("categorical", name, cfg.categorical_metrics, samples))
 
-    if cfg.multivariate_metrics:
-        numeric = ref.numeric_names()
-        if numeric:
-            X = ref.numeric_matrix(numeric)[ref.complete_rows(numeric)]
-            Y = cur.numeric_matrix(numeric)[cur.complete_rows(numeric)]
-            if X.shape[0] >= 2 and Y.shape[0] >= 2:
-                for metric in cfg.multivariate_metrics:
-                    warn, fail = cfg.threshold_pair(metric)
-                    if metric in ("energy", "mmd2"):
-                        stat = energy_distance(X, Y) if metric == "energy" else mmd2(X, Y)
-                        p = permutation_pvalue(metric, X, Y, cfg.n_permutations, cfg.seed)
-                        results.append(
-                            DriftResult(metric, stat, verdict_for(metric, p, warn, fail),
-                                        None, p, {"warn_p": warn, "fail_p": fail})
-                        )
-                    elif metric == "pca_recon":
-                        basis = pca_reconstruction_fit(X, cfg.variance_fraction)
-                        ref_err = float(pca_reconstruction_errors(basis, X).mean())
-                        cur_err = float(pca_reconstruction_errors(basis, Y).mean())
-                        if ref_err <= 1e-12:
-                            ratio = 1.0 if cur_err <= 1e-12 else np.inf
-                        else:
-                            ratio = cur_err / ref_err
-                        results.append(
-                            DriftResult("pca_recon", float(ratio),
-                                        verdict_for("pca_recon", ratio, warn, fail),
-                                        None, thresholds={"warn": warn, "fail": fail})
-                        )
-                    else:
-                        raise ValueError(f"unknown multivariate metric {metric!r}")
-    return results
+    numeric = ref.numeric_names()
+    if cfg.multivariate_metrics and numeric:
+        X = ref.numeric_matrix(numeric)[ref.complete_rows(numeric)]
+        Y = cur.numeric_matrix(numeric)[cur.complete_rows(numeric)]
+        if X.shape[0] >= 2 and Y.shape[0] >= 2:
+            samples = _Samples(X, Y, None, cfg)
+            blocks.append(("multivariate", None, cfg.multivariate_metrics, samples))
+
+    return [
+        _evaluate(metric, kind, feature, s)
+        for kind, feature, metrics, s in blocks
+        for metric in metrics
+    ]

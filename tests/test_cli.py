@@ -1,13 +1,16 @@
+import builtins
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from modelwatch.cli import main
+from modelwatch.data import Schema, write_csv
 
-from conftest import write_pipeline_fixture
+from conftest import PIPELINE_SCHEMA_DOC, pipeline_dataset, write_pipeline_fixture
 
 
 def run_cli(args, env_extra=None):
@@ -51,6 +54,15 @@ class TestExitCodes:
         assert proc.returncode == 2
 
 
+    def test_short_csv_row_is_a_structured_error(self, tmp_path):
+        config = write_pipeline_fixture(tmp_path, shift=0.0)
+        with open(tmp_path / "current.csv", "a", encoding="utf-8") as fh:
+            fh.write("0.5,0.25\n")  # the fixture's current set has 400 data rows
+        proc = run_cli(["monitor", "--config", str(config)])
+        assert proc.returncode == 1
+        assert proc.stderr == "error: row 400: expected 4 cells as in the header, found 2\n"
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         config = write_pipeline_fixture(tmp_path, shift=0.3)
@@ -70,6 +82,52 @@ class TestSectionCommands:
         doc = json.loads(proc.stdout)
         assert doc["section"] == "data_quality"
         assert doc["result"]["status"] == "ok"
+
+    def test_quality_command_without_target_or_prediction(self, tmp_path):
+        config = write_pipeline_fixture(tmp_path, shift=0.0)
+        doc = json.loads(config.read_text())
+        doc["schema"]["columns"] = [c for c in doc["schema"]["columns"] if c["role"] == "feature"]
+        config.write_text(json.dumps(doc))
+        proc = run_cli(["quality", "--config", str(config)])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["status"] == "ok"
+
+    def test_each_command_reads_only_its_datasets(self, tmp_path, monkeypatch):
+        schema = Schema.from_json_dict(PIPELINE_SCHEMA_DOC)
+        write_csv(pipeline_dataset(seed=9, n=200), tmp_path / "calibration.csv", schema)
+        write_csv(pipeline_dataset(seed=3, n=200), tmp_path / "train.csv", schema)
+        config = write_pipeline_fixture(
+            tmp_path,
+            shift=0.0,
+            config_overrides={
+                "data": {"calibration": "calibration.csv", "train": "train.csv"},
+                "segmentation": {"features": ["x0"], "bins": 4},
+            },
+        )
+        both = ["current.csv", "reference.csv"]
+        expected = {
+            "quality": both,
+            "drift": both,
+            "concept-drift": both,
+            "conformal": ["calibration.csv", *both],
+            "weakness": [*both, "train.csv"],
+            "robustness": both,
+            "monitor": ["calibration.csv", *both, "train.csv"],
+        }
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if str(file).endswith(".csv") and "r" in mode:
+                opened.append(Path(file).name)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        for command, files in expected.items():
+            opened.clear()
+            code = main([command, "--config", str(config), "--out", str(tmp_path / "out.json")])
+            assert code in (0, 3), command
+            assert sorted(opened) == files, command
 
     def test_drift_command_reports_shift(self, tmp_path):
         config = write_pipeline_fixture(tmp_path, shift=0.75)

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from modelwatch.concept import (
     ClassifyDriftConfig,
+    _timestamp_axis,
     classify_drift,
     nn_match,
     paired_model_comparison,
@@ -229,6 +232,19 @@ class TestSlidingWindow:
         points = sliding_window_eval(ds, window=29 * day, step=29 * day, metric="mae", mode="time", min_rows=5)
         assert len(points) == 1
         assert points[0].value == 1.0
+
+    @pytest.mark.parametrize("zone", ["UTC", "America/New_York"])
+    def test_naive_iso_timestamps_read_as_utc(self, zone, monkeypatch):
+        # 01:30 -> 03:30 spans the 2021 US spring-forward gap: two hours in
+        # UTC but one in New York local time
+        monkeypatch.setenv("TZ", zone)
+        time.tzset()
+        try:
+            axis = _timestamp_axis(np.array(["2021-03-14T01:30", "2021-03-14T03:30"], dtype=object))
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert axis.tolist() == [1615685400.0, 1615692600.0]
 
     def test_no_timestamps(self):
         ds = make_scored(make_frame(x=[1.0]), [1.0], [1.0])

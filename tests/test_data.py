@@ -17,6 +17,7 @@ from modelwatch.errors import (
     EmptyDataset,
     MissingColumn,
     SchemaError,
+    ShortRow,
     TypeParseError,
 )
 
@@ -89,6 +90,14 @@ class TestLoadCsv:
         assert exc.value.row == 0
         assert exc.value.column == "age"
         assert exc.value.token == "abc"
+
+    def test_short_row_is_structured_error(self, tmp_path):
+        path = write(tmp_path, "age,grade\n30,A\n40\n")
+        with pytest.raises(ShortRow) as exc:
+            load_csv(path, feature_schema())
+        assert exc.value.row == 1  # data rows numbered from 0, as in TypeParseError
+        assert (exc.value.expected, exc.value.found) == (2, 1)
+        assert "row 1" in str(exc.value)
 
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "age\n30\n")

@@ -5,6 +5,7 @@ from modelwatch.data import CategoricalColumn, FeatureFrame, NumericColumn
 from modelwatch.errors import DimensionMismatch, EmptySample
 from modelwatch.shift import (
     DriftScanConfig,
+    apply_thresholds,
     drift_scan,
     energy_distance,
     jsd,
@@ -402,3 +403,25 @@ class TestDriftScan:
         results = drift_scan(ds, ds, DriftScanConfig(multivariate_metrics=()))
         features = [r.feature for r in results]
         assert features == sorted(features, key=lambda f: ["b", "a"].index(f))
+
+
+class TestNonFiniteStatistics:
+    def test_nan_never_passes(self):
+        assert apply_thresholds(float("nan"), 0.1, 0.25, "high") == "fail"
+        assert apply_thresholds(float("nan"), 0.05, 0.01, "low") == "fail"
+
+    def test_unmasked_inf_fails_instead_of_passing(self, rng):
+        # one inf that load-time masking missed makes the histogram edges
+        # infinite, so PSI and JSD come out NaN on a 5 sd shift
+        x = rng.normal(size=500)
+        y = rng.normal(size=500) + 5.0
+        y[0] = np.inf
+        ref = make_scored(make_frame(x=x), np.zeros(500), np.zeros(500))
+        cur = make_scored(make_frame(x=y), np.zeros(500), np.zeros(500))
+        with np.errstate(invalid="ignore"):
+            results = drift_scan(ref, cur, DriftScanConfig(multivariate_metrics=()))
+        by_metric = {r.metric: r for r in results}
+        for metric in ("psi", "jsd"):
+            assert np.isnan(by_metric[metric].statistic)
+            assert by_metric[metric].verdict == "fail"
+        assert all(r.verdict != "pass" for r in results)

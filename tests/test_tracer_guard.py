@@ -1,0 +1,75 @@
+"""The benchmark tracer must keep seeing the calls it times.
+
+``perfbench/tracer.py`` records spans by rebinding module attributes, so a
+call made through a function object stored elsewhere (a dispatch table, a
+default argument) silently drops out of its per-layer metrics. The tracer
+is read as source and never written or imported as a package.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+from modelwatch.config import parse_config
+from modelwatch.data import Schema, write_csv
+from modelwatch.report import run_monitor
+
+from conftest import PIPELINE_SCHEMA_DOC, pipeline_dataset, write_pipeline_fixture
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer() -> types.ModuleType:
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER_PATH)
+    source = TRACER_PATH.read_text(encoding="utf-8")
+    exec(compile(source, str(TRACER_PATH), "exec"), module.__dict__)
+    return module
+
+
+def test_trace_points_resolve():
+    tracer = load_tracer()
+    for module_name, attr, _, _ in tracer.TRACE_POINTS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (module_name, attr)
+
+
+def test_monitor_sections_are_traced(tmp_path):
+    tracer = load_tracer()
+    schema = Schema.from_json_dict(PIPELINE_SCHEMA_DOC)
+    write_csv(pipeline_dataset(seed=9, n=300), tmp_path / "calibration.csv", schema)
+    cfg = parse_config(
+        write_pipeline_fixture(
+            tmp_path,
+            shift=0.3,
+            config_overrides={
+                "data": {"calibration": "calibration.csv"},
+                "segmentation": {"features": ["x0"], "bins": 4},
+                "drift": {"numeric_metrics": ["ks", "psi"], "multivariate_metrics": ["energy"],
+                          "n_permutations": 99},
+            },
+        )
+    )
+    spans = tracer.Tracer()
+    spans.job = 0
+    spans.install()
+    try:
+        report = run_monitor(cfg)
+    finally:
+        spans.uninstall()
+    assert report.status == "complete"
+    names = {s["name"] for s in spans.spans}
+    for name in (
+        "quality.section",
+        "shift.drift_scan",
+        "shift.univariate",
+        "shift.statistic",
+        "shift.permutation_pvalue",
+        "concept.nn_match",
+        "conformal.section",
+        "outcome.weakness",
+    ):
+        assert name in names, name
+    assert any(
+        s["name"] == "shift.univariate" and tracer._under(spans.spans, s, "shift.drift_scan")
+        for s in spans.spans
+    )
