@@ -118,6 +118,10 @@ class NoTimestamps(ModelWatchError):
     """Time-sliced evaluation needs a timestamped dataset."""
 
 
+class InvariantViolation(ModelWatchError):
+    """An internal invariant of an algorithm failed; a bug, not bad input."""
+
+
 class ConfigError(ModelWatchError):
     """Invalid monitoring configuration. ``pointer`` is a JSON-pointer path."""
 

@@ -17,6 +17,7 @@ from scipy.stats import rankdata
 
 from .data import CategoricalColumn, FeatureFrame, NumericColumn, ScoredDataset
 from .errors import (
+    InvariantViolation,
     KExceedsRows,
     MetricIncompatible,
     SchemaError,
@@ -292,7 +293,10 @@ def kmeans(
         )
         ids = np.argmin(d2, axis=1)
         inertia = float(np.maximum(d2[np.arange(n), ids], 0.0).sum())
-        assert inertia <= prev_inertia + 1e-9, "k-means inertia increased"
+        if inertia > prev_inertia + 1e-9 * max(1.0, prev_inertia):
+            raise InvariantViolation(
+                f"k-means inertia increased from {prev_inertia!r} to {inertia!r}"
+            )
         prev_inertia = inertia
 
         new_centroids = centroids.copy()

@@ -502,7 +502,9 @@ SECTIONS = {
         cfg, data.scored("reference"), data.scored("current")
     ),
     "uncertainty": lambda cfg, data: uncertainty_section(cfg, data.scored("current")),
-    "weakness": lambda cfg, data: weakness_section(cfg, data.scored("current"), data.train),
+    "weakness": lambda cfg, data: weakness_section(
+        cfg, data.scored("current"), data.train if cfg.segmentation_features else None
+    ),
     "robustness": lambda cfg, data: robustness_section(cfg, data.scored("current")),
 }
 

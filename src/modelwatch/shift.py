@@ -4,6 +4,12 @@ Univariate measures compare empirical CDFs (KS, Wasserstein-1) or binned
 PMF estimates (KL, JSD, PSI, TVD); multivariate measures are energy
 distance, Gaussian-kernel MMD, Mahalanobis distance, and PCA reconstruction
 error, with permutation-based significance for the two-sample statistics.
+The permutation test scores every split of the pooled sample at once: the
+splits are the columns of a 0/1 indicator matrix, and one matrix product
+with the pooled distance (or kernel) matrix gives all their statistics in
+O(N^2 B) BLAS work for N pooled rows and B permutations, with O(N^2)
+memory for the pooled matrix. A permuted statistic that ties the observed
+one up to rounding counts as >= it.
 
 Conventions: KL is reported in nats; JSD in bits so it is bounded by 1.
 PSI is the index sum((p - q) * ln(p / q)), a symmetrized KL distinct from
@@ -257,13 +263,22 @@ def energy_distance(X, Y) -> float:
     return float(2.0 * d_xy - d_xx - d_yy)
 
 
+def _median_offdiag(sq: np.ndarray) -> float:
+    """Median of the strictly upper-triangular entries of a square matrix.
+
+    A boolean mask picks them in row-major order, the order of a
+    triangle-index lookup, without building two int64 index arrays.
+    """
+    idx = np.arange(sq.shape[0])
+    off = sq[idx[:, None] < idx[None, :]]
+    return float(np.median(off, overwrite_input=True))
+
+
 def median_heuristic_bandwidth(X, Y) -> float:
     """Median of the off-diagonal pairwise distances of the pooled sample."""
     X, Y = _check_pair(X, Y)
     Z = np.vstack([X, Y])
-    sq = _pairwise_sq_dists(Z, Z)
-    off = sq[np.triu_indices(Z.shape[0], k=1)]
-    return float(np.sqrt(np.median(off)))
+    return float(np.sqrt(_median_offdiag(_pairwise_sq_dists(Z, Z))))
 
 
 def mmd2(X, Y, bandwidth: float | str = "median", unbiased: bool = False) -> float:
@@ -344,49 +359,58 @@ def pca_reconstruction_errors(model: PcaBasis, X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _energy_from_dists(dist: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> float:
-    return float(
-        2.0 * dist[np.ix_(ix, iy)].mean()
-        - dist[np.ix_(ix, ix)].mean()
-        - dist[np.ix_(iy, iy)].mean()
-    )
-
-
 def permutation_pvalue(metric: str, X, Y, n_permutations: int = 199, seed: int = 0) -> float:
     """Permutation p-value (1 + #{perm >= observed}) / (n_permutations + 1).
 
-    ``metric`` is "energy" or "mmd2". The pooled pairwise matrix is computed
-    once and re-sliced per permutation; for MMD the median-heuristic
-    bandwidth is fixed from the original pooled sample so every permutation
-    sees the same kernel.
+    ``metric`` is "energy" or "mmd2". K is the pooled matrix of pairwise
+    distances (energy) or of the negated Gaussian kernel (MMD^2, bandwidth
+    fixed by the median heuristic on the original pooled sample), so a
+    split's statistic is 2*sxy/(n*m) - sxx/n^2 - syy/m^2 with sxx, sxy, syy
+    the sums of K over its x-x, x-y and y-y blocks.
+
+    All splits are scored at once. Column 0 of the 0/1 indicator matrix S
+    marks the observed x rows, column b the first n entries of the b-th
+    ``rng.permutation(n+m)``; with r = K 1 and T = 1'r, sxx = colsum(S * KS),
+    sxy = S'r - sxx and syy = T - 2 S'r + sxx. A permuted statistic within
+    1e-12 * (|between| + |within_x| + |within_y|) of the observed split's
+    terms counts as >= it, so exact ties count whatever the rounding.
+
+    Cost: O(N^2 d) for K plus O(N^2 B) in one BLAS product (N = n+m,
+    B = n_permutations); memory stays O(N^2).
     """
     if n_permutations < 99:
         raise ValueError("n_permutations must be at least 99")
     X, Y = _check_pair(X, Y)
     n, m = X.shape[0], Y.shape[0]
+    N = n + m
     Z = np.vstack([X, Y])
-    sq = _pairwise_sq_dists(Z, Z)
+    K = _pairwise_sq_dists(Z, Z)
     if metric == "energy":
-        pooled = np.sqrt(sq)
+        np.sqrt(K, out=K)
     elif metric == "mmd2":
-        off = sq[np.triu_indices(n + m, k=1)]
-        sigma_sq = np.median(off)
+        sigma_sq = _median_offdiag(K)
         if sigma_sq == 0.0:
             return 1.0  # all points identical: every split ties the observed 0
-        pooled = np.exp(-sq / (2.0 * sigma_sq))
-        np.negative(pooled, out=pooled)  # negate so the energy slicer computes +MMD^2
+        np.divide(K, -2.0 * sigma_sq, out=K)
+        np.exp(K, out=K)
+        np.negative(K, out=K)  # negated kernel: the energy form gives +MMD^2
     else:
         raise ValueError(f"unknown permutation metric {metric!r}")
 
-    ix = np.arange(n)
-    iy = np.arange(n, n + m)
-    observed = _energy_from_dists(pooled, ix, iy)
     rng = np.random.default_rng(seed)
-    count = 0
-    for _ in range(n_permutations):
-        perm = rng.permutation(n + m)
-        if _energy_from_dists(pooled, perm[:n], perm[n:]) >= observed:
-            count += 1
+    S = np.zeros((N, n_permutations + 1))
+    S[:n, 0] = 1.0
+    for b in range(1, n_permutations + 1):
+        S[rng.permutation(N)[:n], b] = 1.0
+    r = K.sum(axis=1)
+    sx = S.T @ r
+    sxx = np.einsum("ib,ib->b", S, K @ S)
+    between = 2.0 * (sx - sxx) / (n * m)
+    within_x = sxx / (n * n)
+    within_y = (r.sum() - 2.0 * sx + sxx) / (m * m)
+    stats = between - within_x - within_y
+    tol = 1e-12 * (abs(between[0]) + abs(within_x[0]) + abs(within_y[0]))
+    count = int(np.count_nonzero(stats[1:] >= stats[0] - tol))
     return (1 + count) / (n_permutations + 1)
 
 

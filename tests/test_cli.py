@@ -162,6 +162,14 @@ class TestSectionCommands:
         doc = json.loads(proc.stdout)
         assert doc["result"]["regions"]
 
+    def test_weakness_without_segmentation_ignores_missing_train(self, tmp_path):
+        config = write_pipeline_fixture(
+            tmp_path, shift=0.0, config_overrides={"data": {"train": "missing.csv"}}
+        )
+        proc = run_cli(["weakness", "--config", str(config)])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["status"] == "not_configured"
+
 
 class TestReportCommand:
     def test_rerender_saved_report(self, tmp_path):

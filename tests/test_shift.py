@@ -14,6 +14,7 @@ from modelwatch.shift import (
     mahalanobis,
     make_frequency_pair,
     make_histogram_pair,
+    median_heuristic_bandwidth,
     mmd2,
     pca_reconstruction_errors,
     pca_reconstruction_fit,
@@ -319,6 +320,101 @@ class TestPermutation:
         X = rng.normal(size=(10, 1))
         with pytest.raises(ValueError):
             permutation_pvalue("energy", X, X, n_permutations=10)
+
+
+def _pooled_sq_dists(X, Y):
+    Z = np.vstack([X, Y])
+    zz = np.sum(Z * Z, axis=1)
+    return np.maximum(zz[:, None] + zz[None, :] - 2.0 * (Z @ Z.T), 0.0)
+
+
+def _replayed_pvalue(stat, n, m, n_permutations, seed):
+    """(1 + #{perm >= observed}) / (n_permutations + 1) for ``stat(ix, iy)``,
+    on the same ``default_rng(seed).permutation`` draws as the library."""
+    observed = stat(np.arange(n), np.arange(n, n + m))
+    rng = np.random.default_rng(seed)
+    count = 0
+    for _ in range(n_permutations):
+        perm = rng.permutation(n + m)
+        count += stat(perm[:n], perm[n:]) >= observed
+    return (1 + count) / (n_permutations + 1)
+
+
+def _slicing_pvalue(metric, X, Y, n_permutations, seed):
+    """The per-permutation ``np.ix_`` slicing kernel that the indicator-matrix
+    product replaced, kept as a reference for the p-values it must repeat."""
+    n, m = X.shape[0], Y.shape[0]
+    sq = _pooled_sq_dists(X, Y)
+    if metric == "energy":
+        pooled = np.sqrt(sq)
+    else:
+        pooled = -np.exp(-sq / (2.0 * np.median(sq[np.triu_indices(n + m, k=1)])))
+
+    def stat(ix, iy):
+        return (
+            2.0 * pooled[np.ix_(ix, iy)].mean()
+            - pooled[np.ix_(ix, ix)].mean()
+            - pooled[np.ix_(iy, iy)].mean()
+        )
+
+    return _replayed_pvalue(stat, n, m, n_permutations, seed)
+
+
+def _exact_energy_pvalue(x, y, n_permutations, seed):
+    """Energy permutation p-value on 1-D integer data in integer arithmetic:
+    n^2 m^2 times a split's statistic is 2 Sxy n m - Sxx m^2 - Syy n^2, with
+    Sxx, Sxy, Syy the int64 sums of |a - b| over its blocks, so ties are
+    exact."""
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    n, m = x.size, y.size
+    z = np.concatenate([x, y])
+    dist = np.abs(z[:, None] - z[None, :])
+
+    def scaled_stat(ix, iy):
+        sxx = dist[np.ix_(ix, ix)].sum()
+        sxy = dist[np.ix_(ix, iy)].sum()
+        syy = dist[np.ix_(iy, iy)].sum()
+        return 2 * sxy * n * m - sxx * m * m - syy * n * n
+
+    return _replayed_pvalue(scaled_stat, n, m, n_permutations, seed)
+
+
+class TestPermutationKernel:
+    @pytest.mark.parametrize("case", range(40))
+    def test_matches_slicing_kernel(self, case):
+        r = np.random.default_rng(500 + case)
+        n, m = int(r.integers(8, 60)), int(r.integers(8, 60))
+        if n == m:
+            m += 1
+        d = case % 5 + 1
+        B = (99, 199)[case % 2]
+        X = r.normal(size=(n, d))
+        Y = r.normal(size=(m, d)) * r.uniform(0.8, 1.3) + r.uniform(0.0, 0.6)
+        for metric in ("energy", "mmd2"):
+            expected = _slicing_pvalue(metric, X, Y, B, seed=case)
+            assert permutation_pvalue(metric, X, Y, B, seed=case) == expected, metric
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_ties_count_exactly_on_integer_data(self, case):
+        r = np.random.default_rng(case)
+        n, m = int(r.integers(5, 40)), int(r.integers(5, 40))
+        x, y = r.integers(0, 4, n), r.integers(0, 4, m)
+        got = permutation_pvalue("energy", x.astype(float), y.astype(float), 99, seed=case)
+        assert got == _exact_energy_pvalue(x, y, 99, seed=case)
+
+    def test_tied_splits_not_undercounted(self):
+        # Rounding made the slicing kernel count 32 of 99 permutations here
+        # where 45 are >= the observed statistic exactly.
+        r = np.random.default_rng(16)
+        x, y = r.integers(0, 4, 13), r.integers(0, 4, 13)
+        assert _exact_energy_pvalue(x, y, 99, seed=0) == 0.46
+        assert permutation_pvalue("energy", x.astype(float), y.astype(float), 99, seed=0) == 0.46
+
+    def test_median_bandwidth_matches_triangle_indexing(self, rng):
+        X, Y = rng.normal(size=(37, 3)), rng.normal(size=(23, 3))
+        sq = _pooled_sq_dists(X, Y)
+        expected = float(np.sqrt(np.median(sq[np.triu_indices(60, k=1)])))
+        assert median_heuristic_bandwidth(X, Y) == expected
 
 
 class TestFrequencyPair:
