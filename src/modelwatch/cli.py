@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from .config import MonitorConfig, build_config, parse_config
 from .errors import ConfigError, ModelWatchError
@@ -70,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> MonitorConfig:
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg = build_config({**cfg.effective, "seed": args.seed}, base_dir=Path(args.config).parent)
+        cfg = build_config({**cfg.effective, "seed": args.seed}, base_dir=cfg.data.base_dir)
     return cfg
 
 

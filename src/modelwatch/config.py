@@ -2,97 +2,172 @@
 
 A config is a single JSON document carrying the schema, dataset paths,
 metric selection, thresholds, and the optional extras (calibration split,
-segmentation features, external model command). Defaults are filled at
-parse time and echoed into the report so every run is auditable. Dataset
-paths are resolved relative to the config file's directory.
+segmentation features, external model command). Each section is a frozen
+dataclass whose fields are its JSON keys, so each default and type is
+declared once; the effective config (defaults applied) echoed into the
+report for audit is read back from the same objects. Wrong types, values
+out of range and unknown keys raise ConfigError with the JSON pointer.
+Dataset paths are resolved relative to the config file's directory.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import get_type_hints
 
+from .concept import ClassifyDriftConfig
 from .data import DEFAULT_MISSING_TOKENS, Schema
 from .errors import ConfigError, SchemaError
-from .shift import (
-    CATEGORICAL_METRICS,
-    DEFAULT_BINS,
-    DEFAULT_EPSILON,
-    METRICS,
-    MULTIVARIATE_METRICS,
-    NUMERIC_METRICS,
-)
-
-VALID_RESIDUAL_TESTS = ("ks", "cvm")
-VALID_MATCH_METRICS = ("euclidean_standardized", "mahalanobis")
-VALID_INVARIANCE_MODES = ("permute", "constant")
+from .outcome import DEFAULT_MIN_ROWS
+from .shift import CATEGORICAL_METRICS, METRICS, MULTIVARIATE_METRICS, NUMERIC_METRICS, DriftScanConfig
 
 
 @dataclass(frozen=True)
+class DataConfig:
+    reference: str
+    current: str
+    train: str | None = None
+    calibration: str | None = None
+    base_dir: Path = Path(".")  # the config file's directory
+
+    def path(self, key: str) -> Path | None:
+        value = getattr(self, key)
+        return None if value is None else self.base_dir / value
+
+
+@dataclass(frozen=True)
+class ConformalConfig:
+    alpha: float = 0.1
+
+
+@dataclass(frozen=True)
+class SegmentationConfig:
+    features: tuple[str, ...] = ()
+    bins: int = 5
+    min_rows: int = DEFAULT_MIN_ROWS
+
+
+@dataclass(frozen=True)
+class RobustnessConfig:
+    irrelevant_features: tuple[str, ...] = ()
+    invariance_mode: str = "permute"
+    tolerance: float = 1e-9
+    noise_fraction: float = 0.05
+    n_repeats: int = 3
+
+
+@dataclass(frozen=True)
+class QualityConfig:
+    z_threshold: float = 3.0
+    iqr_multiplier: float = 1.5
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    command: str | None = None
+    timeout: float = 60.0
+
+
+@dataclass(frozen=True, kw_only=True)
 class MonitorConfig:
+    # built in field order, so each value wired into a section comes first
     schema: Schema
-    reference_path: Path
-    current_path: Path
-    train_path: Path | None
-    calibration_path: Path | None
-    seed: int
-    missing_tokens: frozenset[str]
-    bins: int
-    epsilon: float
-    numeric_metrics: tuple[str, ...]
-    categorical_metrics: tuple[str, ...]
-    multivariate_metrics: tuple[str, ...]
-    n_permutations: int
-    variance_fraction: float
+    data: DataConfig
+    seed: int = 0
+    missing_tokens: frozenset[str] = DEFAULT_MISSING_TOKENS
     thresholds: dict[str, tuple[float, float]]
-    concept_p_threshold: float
-    concept_k: int
-    concept_match_metric: str
-    concept_residual_test: str
-    conformal_alpha: float
-    segmentation_features: tuple[str, ...]
-    segmentation_bins: int
-    min_rows: int
-    irrelevant_features: tuple[str, ...]
-    invariance_mode: str
-    invariance_tolerance: float
-    noise_fraction: float
-    noise_repeats: int
-    z_threshold: float
-    iqr_multiplier: float
-    model_command: str | None
-    model_timeout: float
-    effective: dict = field(repr=False, default_factory=dict)
+    drift: DriftScanConfig
+    concept_drift: ClassifyDriftConfig
+    conformal: ConformalConfig
+    segmentation: SegmentationConfig
+    robustness: RobustnessConfig
+    quality: QualityConfig
+    model: ModelConfig
 
     def threshold_pair(self, key: str) -> tuple[float, float]:
         return self.thresholds[key]
 
+    @cached_property
+    def effective(self) -> dict:
+        """Full config with defaults applied, for the report echo and digest."""
+        return _echo(self, "")
 
-def _require(doc: dict, key: str, pointer: str):
-    if key not in doc:
-        raise ConfigError(f"missing required key {key!r}", pointer)
-    return doc[key]
+
+# Fields set from another value, neither read nor echoed under their own
+# key: JSON pointer -> pointer of the source ("base_dir": the config's directory).
+WIRED = {
+    "/data/base_dir": "base_dir",
+    "/drift/seed": "/seed",
+    "/drift/thresholds": "/thresholds",
+    "/concept_drift/scan": "/drift",
+}
 
 
-def _check_type(value, types, pointer: str, description: str):
-    if not isinstance(value, types):
-        raise ConfigError(f"expected {description}", pointer)
-    return value
+def _one_of(valid: tuple) -> tuple:
+    """A rule that passes a value, or each element of a list, in ``valid``."""
+    return lambda v: set(v if isinstance(v, tuple) else (v,)) <= set(valid), f"one of {list(valid)}"
+
+
+# JSON pointer -> (test, requirement) for a coerced value
+RULES = {
+    "/drift/bins": (lambda v: v >= 2, "at least 2"),
+    "/drift/epsilon": (lambda v: v > 0, "positive"),
+    "/drift/numeric_metrics": _one_of(NUMERIC_METRICS),
+    "/drift/categorical_metrics": _one_of(CATEGORICAL_METRICS),
+    "/drift/multivariate_metrics": _one_of(MULTIVARIATE_METRICS),
+    "/drift/n_permutations": (lambda v: v >= 99, "at least 99"),
+    "/drift/variance_fraction": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "/concept_drift/k": (lambda v: v >= 1, "at least 1"),
+    "/concept_drift/match_metric": _one_of(("euclidean_standardized", "mahalanobis")),
+    "/concept_drift/residual_test": _one_of(("ks", "cvm")),
+    "/conformal/alpha": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "/segmentation/bins": (lambda v: v >= 2, "at least 2"),
+    "/robustness/invariance_mode": _one_of(("permute", "constant")),
+    "/robustness/n_repeats": (lambda v: v >= 1, "at least 1"),
+    "/model/timeout": (lambda v: v > 0, "positive"),
+}
+
+
+def _strings(value) -> list[str]:
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return value
+    raise TypeError
+
+
+# field type -> (coercion, the JSON value it takes)
+COERCIONS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    str: (str, "a string"),
+    str | None: (lambda v: None if v is None else str(v), "a string or null"),
+    tuple[str, ...]: (lambda v: tuple(_strings(v)), "a list of strings"),
+    frozenset[str]: (lambda v: frozenset(_strings(v)), "a list of strings"),
+}
+
+
+def _parse_schema(doc: dict) -> Schema:
+    if "schema" not in doc:
+        raise ConfigError("missing required key 'schema'", "/schema")
+    try:
+        return Schema.from_json_dict(doc["schema"])
+    except (SchemaError, KeyError, TypeError) as exc:
+        raise ConfigError(f"invalid schema: {exc}", "/schema") from None
 
 
 def _parse_thresholds(doc: dict) -> dict[str, tuple[float, float]]:
     merged = {key: metric.defaults for key, metric in METRICS.items()}
     user = doc.get("thresholds", {})
-    _check_type(user, dict, "/thresholds", "an object of metric: {warn, fail}")
+    if not isinstance(user, dict):
+        raise ConfigError("expected an object of metric: {warn, fail}", "/thresholds")
     for key, pair in user.items():
         pointer = f"/thresholds/{key}"
         if key not in METRICS:
             raise ConfigError(f"unknown threshold {key!r}; valid: {sorted(METRICS)}", pointer)
-        _check_type(pair, dict, pointer, "an object {warn, fail}")
         try:
-            warn = float(pair["warn"])
-            fail = float(pair["fail"])
+            warn, fail = float(pair["warn"]), float(pair["fail"])
         except (KeyError, TypeError, ValueError):
             raise ConfigError("needs numeric 'warn' and 'fail'", pointer) from None
         high = METRICS[key].direction == "high"
@@ -106,185 +181,84 @@ def _parse_thresholds(doc: dict) -> dict[str, tuple[float, float]]:
     return merged
 
 
-def _parse_metric_list(drift: dict, kind: str, valid: tuple[str, ...]) -> tuple[str, ...]:
-    pointer = f"/drift/{kind}_metrics"
-    names = drift.get(f"{kind}_metrics", list(valid))
-    _check_type(names, list, pointer, "a list of metric names")
-    for name in names:
-        if name not in valid:
-            raise ConfigError(f"unknown metric {name!r}; valid: {list(valid)}", f"{pointer}/{name}")
-    return tuple(names)
+# JSON pointer -> (parse from the enclosing document, echo) for the two
+# fields that are not plain values
+SPECIAL = {
+    "/schema": (_parse_schema, Schema.to_json_dict),
+    "/thresholds": (
+        _parse_thresholds,
+        lambda pairs: {key: {"warn": w, "fail": f} for key, (w, f) in sorted(pairs.items())},
+    ),
+}
+
+
+def _coerce(raw, kind, pointer: str):
+    convert, description = COERCIONS[kind]
+    try:
+        value = convert(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"expected {description}, got {raw!r}", pointer) from None
+    test, requirement = RULES.get(pointer, (None, None))
+    if test is not None and not test(value):
+        raise ConfigError(f"must be {requirement}, got {raw!r}", pointer)
+    return value
+
+
+def _own_fields(cls, pointer: str) -> list[str]:
+    return [f.name for f in fields(cls) if f"{pointer}/{f.name}" not in WIRED]
+
+
+def _build(cls, doc, pointer: str, built: dict):
+    """An instance of ``cls`` read from ``doc`` at ``pointer``; omitted
+    fields take their defaults. Each value is recorded in ``built`` under
+    its pointer, for the fields wired from it."""
+    if not isinstance(doc, dict):
+        raise ConfigError("expected a JSON object", pointer)
+    own = _own_fields(cls, pointer)
+    for key in doc:
+        if key not in own:
+            raise ConfigError(f"unknown key {key!r}; valid: {own}", f"{pointer}/{key}")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        at = f"{pointer}/{f.name}"
+        if at in WIRED:
+            value = built[WIRED[at]]
+        elif at in SPECIAL:
+            value = SPECIAL[at][0](doc)
+        elif is_dataclass(hints[f.name]):
+            value = _build(hints[f.name], doc.get(f.name, {}), at, built)
+        elif f.name in doc:
+            value = _coerce(doc[f.name], hints[f.name], at)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required key {f.name!r}", at)
+        else:
+            value = f.default
+        values[f.name] = built[at] = value
+    return cls(**values)
+
+
+def _echo(value, pointer: str):
+    """The JSON form of a config value, as ``build_config`` reads it."""
+    if pointer in SPECIAL:
+        return SPECIAL[pointer][1](value)
+    if is_dataclass(value):
+        own = _own_fields(value, pointer)
+        return {name: _echo(getattr(value, name), f"{pointer}/{name}") for name in own}
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
 def build_config(doc: dict, base_dir: Path | str = ".") -> MonitorConfig:
     """Validate a config document and fill defaults."""
-    base = Path(base_dir)
-    _check_type(doc, dict, "", "a JSON object")
-
-    schema_doc = _require(doc, "schema", "/schema")
-    try:
-        schema = Schema.from_json_dict(schema_doc)
-    except (SchemaError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid schema: {exc}", "/schema") from None
-
-    data = _require(doc, "data", "/data")
-    _check_type(data, dict, "/data", "an object with dataset paths")
-    reference = _require(data, "reference", "/data/reference")
-    current = _require(data, "current", "/data/current")
-
-    def path_or_none(key: str) -> Path | None:
-        value = data.get(key)
-        if value is None:
-            return None
-        return base / str(value)
-
-    drift = doc.get("drift", {})
-    _check_type(drift, dict, "/drift", "an object")
-    numeric_metrics = _parse_metric_list(drift, "numeric", NUMERIC_METRICS)
-    categorical_metrics = _parse_metric_list(drift, "categorical", CATEGORICAL_METRICS)
-    multivariate_metrics = _parse_metric_list(drift, "multivariate", MULTIVARIATE_METRICS)
-
-    thresholds = _parse_thresholds(doc)
-
-    concept = doc.get("concept_drift", {})
-    _check_type(concept, dict, "/concept_drift", "an object")
-    residual_test = concept.get("residual_test", "ks")
-    if residual_test not in VALID_RESIDUAL_TESTS:
-        raise ConfigError(
-            f"unknown residual test {residual_test!r}; valid: {list(VALID_RESIDUAL_TESTS)}",
-            "/concept_drift/residual_test",
-        )
-    match_metric = concept.get("match_metric", "euclidean_standardized")
-    if match_metric not in VALID_MATCH_METRICS:
-        raise ConfigError(
-            f"unknown match metric {match_metric!r}; valid: {list(VALID_MATCH_METRICS)}",
-            "/concept_drift/match_metric",
-        )
-
-    segmentation = doc.get("segmentation", {})
-    _check_type(segmentation, dict, "/segmentation", "an object")
-    seg_features = tuple(segmentation.get("features", ()))
-    for name in seg_features:
-        if name not in schema:
-            raise ConfigError(f"feature {name!r} not in schema", "/segmentation/features")
-
-    robustness = doc.get("robustness", {})
-    _check_type(robustness, dict, "/robustness", "an object")
-    irrelevant = tuple(robustness.get("irrelevant_features", ()))
-    for name in irrelevant:
-        if name not in schema:
-            raise ConfigError(f"feature {name!r} not in schema", "/robustness/irrelevant_features")
-    invariance_mode = robustness.get("invariance_mode", "permute")
-    if invariance_mode not in VALID_INVARIANCE_MODES:
-        raise ConfigError(
-            f"unknown invariance mode {invariance_mode!r}; valid: {list(VALID_INVARIANCE_MODES)}",
-            "/robustness/invariance_mode",
-        )
-
-    quality = doc.get("quality", {})
-    _check_type(quality, dict, "/quality", "an object")
-
-    conformal = doc.get("conformal", {})
-    _check_type(conformal, dict, "/conformal", "an object")
-    alpha = float(conformal.get("alpha", 0.1))
-    if not 0 < alpha < 1:
-        raise ConfigError("alpha must be in (0, 1)", "/conformal/alpha")
-
-    model = doc.get("model", {})
-    _check_type(model, dict, "/model", "an object")
-    command = model.get("command")
-    if command is not None:
-        command = str(command)
-
-    seed = int(doc.get("seed", 0))
-    n_permutations = int(drift.get("n_permutations", 199))
-    if n_permutations < 99:
-        raise ConfigError("n_permutations must be at least 99", "/drift/n_permutations")
-
-    cfg = MonitorConfig(
-        schema=schema,
-        reference_path=base / str(reference),
-        current_path=base / str(current),
-        train_path=path_or_none("train"),
-        calibration_path=path_or_none("calibration"),
-        seed=seed,
-        missing_tokens=frozenset(doc.get("missing_tokens", DEFAULT_MISSING_TOKENS)),
-        bins=int(drift.get("bins", DEFAULT_BINS)),
-        epsilon=float(drift.get("epsilon", DEFAULT_EPSILON)),
-        numeric_metrics=numeric_metrics,
-        categorical_metrics=categorical_metrics,
-        multivariate_metrics=multivariate_metrics,
-        n_permutations=n_permutations,
-        variance_fraction=float(drift.get("variance_fraction", 0.95)),
-        thresholds=thresholds,
-        concept_p_threshold=float(concept.get("p_threshold", 0.01)),
-        concept_k=int(concept.get("k", 1)),
-        concept_match_metric=match_metric,
-        concept_residual_test=residual_test,
-        conformal_alpha=alpha,
-        segmentation_features=seg_features,
-        segmentation_bins=int(segmentation.get("bins", 5)),
-        min_rows=int(segmentation.get("min_rows", 30)),
-        irrelevant_features=irrelevant,
-        invariance_mode=invariance_mode,
-        invariance_tolerance=float(robustness.get("tolerance", 1e-9)),
-        noise_fraction=float(robustness.get("noise_fraction", 0.05)),
-        noise_repeats=int(robustness.get("n_repeats", 3)),
-        z_threshold=float(quality.get("z_threshold", 3.0)),
-        iqr_multiplier=float(quality.get("iqr_multiplier", 1.5)),
-        model_command=command,
-        model_timeout=float(model.get("timeout", 60.0)),
-    )
-    object.__setattr__(cfg, "effective", _effective_dict(cfg, doc))
+    built: dict = {"base_dir": Path(base_dir)}
+    cfg = _build(MonitorConfig, doc, "", built)
+    for pointer in ("/segmentation/features", "/robustness/irrelevant_features"):
+        for name in built[pointer]:
+            if name not in cfg.schema:
+                raise ConfigError(f"feature {name!r} not in schema", pointer)
     return cfg
-
-
-def _effective_dict(cfg: MonitorConfig, doc: dict) -> dict:
-    """Full config with defaults applied, for the report echo and digest."""
-    return {
-        "schema": cfg.schema.to_json_dict(),
-        "data": {
-            "reference": str(doc["data"]["reference"]),
-            "current": str(doc["data"]["current"]),
-            "train": doc["data"].get("train"),
-            "calibration": doc["data"].get("calibration"),
-        },
-        "seed": cfg.seed,
-        "missing_tokens": sorted(cfg.missing_tokens),
-        "drift": {
-            "bins": cfg.bins,
-            "epsilon": cfg.epsilon,
-            "numeric_metrics": list(cfg.numeric_metrics),
-            "categorical_metrics": list(cfg.categorical_metrics),
-            "multivariate_metrics": list(cfg.multivariate_metrics),
-            "n_permutations": cfg.n_permutations,
-            "variance_fraction": cfg.variance_fraction,
-        },
-        "thresholds": {
-            key: {"warn": warn, "fail": fail} for key, (warn, fail) in sorted(cfg.thresholds.items())
-        },
-        "concept_drift": {
-            "p_threshold": cfg.concept_p_threshold,
-            "k": cfg.concept_k,
-            "match_metric": cfg.concept_match_metric,
-            "residual_test": cfg.concept_residual_test,
-        },
-        "conformal": {"alpha": cfg.conformal_alpha},
-        "segmentation": {
-            "features": list(cfg.segmentation_features),
-            "bins": cfg.segmentation_bins,
-            "min_rows": cfg.min_rows,
-        },
-        "robustness": {
-            "irrelevant_features": list(cfg.irrelevant_features),
-            "invariance_mode": cfg.invariance_mode,
-            "tolerance": cfg.invariance_tolerance,
-            "noise_fraction": cfg.noise_fraction,
-            "n_repeats": cfg.noise_repeats,
-        },
-        "quality": {"z_threshold": cfg.z_threshold, "iqr_multiplier": cfg.iqr_multiplier},
-        "model": {"command": cfg.model_command, "timeout": cfg.model_timeout},
-    }
 
 
 def parse_config(path) -> MonitorConfig:

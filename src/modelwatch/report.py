@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
 
@@ -23,12 +23,12 @@ import numpy as np
 
 from . import conformal as cp
 from . import outcome, quality
-from .concept import ClassifyDriftConfig, classify_drift
+from .concept import classify_drift
 from .config import MonitorConfig
 from .data import FeatureFrame, NumericColumn, ScoredDataset, load_csv
 from .errors import ConfigError, ModelWatchError
 from .external import ExternalModel
-from .shift import METRICS, DriftScanConfig, apply_thresholds, drift_scan
+from .shift import METRICS, apply_thresholds, drift_scan
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,7 @@ class MonitoringReport:
     alerts: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "created_at": self.created_at,
-            "status": self.status,
-            "config_digest": self.config_digest,
-            "config": self.config,
-            "datasets": self.datasets,
-            "sections": self.sections,
-            "alerts": self.alerts,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _json_safe(value):
@@ -129,24 +120,19 @@ def _verdict(cfg: MonitorConfig, key: str, value: float) -> str:
     return apply_thresholds(value, warn, fail, METRICS[key].direction)
 
 
-def _scan_config(cfg: MonitorConfig) -> DriftScanConfig:
-    # every DriftScanConfig field has a MonitorConfig field of the same name
-    return DriftScanConfig(**{f.name: getattr(cfg, f.name) for f in fields(DriftScanConfig)})
-
-
 class RunInputs:
     """The datasets of one run: reference and current are loaded up front,
     train on first use, so a section opens only the files it reads."""
 
     def __init__(self, cfg: MonitorConfig):
         self.cfg = cfg
-        self.reference = load_csv(cfg.reference_path, cfg.schema, cfg.missing_tokens)
-        self.current = load_csv(cfg.current_path, cfg.schema, cfg.missing_tokens)
+        self.reference = load_csv(cfg.data.path("reference"), cfg.schema, cfg.missing_tokens)
+        self.current = load_csv(cfg.data.path("current"), cfg.schema, cfg.missing_tokens)
         self.drift_results = None  # set by the drift section, reused by concept drift
 
     @cached_property
     def train(self) -> ScoredDataset | None:
-        path = self.cfg.train_path
+        path = self.cfg.data.path("train")
         return None if path is None else load_csv(path, self.cfg.schema, self.cfg.missing_tokens)
 
     def scored(self, which: str) -> ScoredDataset:
@@ -196,8 +182,8 @@ def quality_section(cfg: MonitorConfig, current: FeatureFrame | ScoredDataset) -
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            z = quality.outliers_zscore(col, cfg.z_threshold)
-            iqr = quality.outliers_iqr(col, cfg.iqr_multiplier)
+            z = quality.outliers_zscore(col, cfg.quality.z_threshold)
+            iqr = quality.outliers_iqr(col, cfg.quality.iqr_multiplier)
         frac_z = float(z.flags.sum()) / observed.size
         frac_iqr = float(iqr.flags.sum()) / observed.size
         worst = max(frac_z, frac_iqr)
@@ -220,7 +206,7 @@ def quality_section(cfg: MonitorConfig, current: FeatureFrame | ScoredDataset) -
 
 def drift_section(cfg: MonitorConfig, data: RunInputs) -> dict:
     reference, current = data.scored("reference"), data.scored("current")
-    data.drift_results = drift_scan(reference, current, _scan_config(cfg))
+    data.drift_results = drift_scan(reference, current, cfg.drift)
     return {"status": "ok", "results": [r.to_json_dict() for r in data.drift_results]}
 
 
@@ -246,18 +232,7 @@ def concept_section(
     if imputed_ref or imputed_cur:
         reference = ScoredDataset(ref_frame, reference.y_true, reference.y_pred)
         current = ScoredDataset(cur_frame, current.y_true, current.y_pred)
-    diag = classify_drift(
-        reference,
-        current,
-        ClassifyDriftConfig(
-            p_threshold=cfg.concept_p_threshold,
-            k=cfg.concept_k,
-            match_metric=cfg.concept_match_metric,
-            residual_test=cfg.concept_residual_test,
-            scan=_scan_config(cfg),
-        ),
-        input_scan=input_scan,
-    )
+    diag = classify_drift(reference, current, cfg.concept_drift, input_scan=input_scan)
     severity = {
         "no_drift": "pass",
         "input_drift": "warn",
@@ -277,7 +252,7 @@ def concept_section(
                 "test": diag.residual_test.test_name,
                 "statistic": diag.residual_test.statistic,
                 "p_value": diag.residual_test.p_value,
-                "p_threshold": cfg.concept_p_threshold,
+                "p_threshold": cfg.concept_drift.p_threshold,
             },
             "mean_match_distance": diag.mean_match_distance,
             "input_drift_features": failing_features,
@@ -329,15 +304,15 @@ def performance_section(cfg: MonitorConfig, reference: ScoredDataset, current: S
 
 
 def uncertainty_section(cfg: MonitorConfig, current: ScoredDataset) -> dict:
-    if cfg.calibration_path is None:
+    if cfg.data.calibration is None:
         return {"status": "not_configured"}
-    calibration = load_csv(cfg.calibration_path, cfg.schema, cfg.missing_tokens)
+    calibration = load_csv(cfg.data.path("calibration"), cfg.schema, cfg.missing_tokens)
     if not isinstance(calibration, ScoredDataset):
         raise ConfigError("calibration dataset must carry target and prediction columns")
-    cal = cp.conformal_fit(calibration, cfg.conformal_alpha)
+    cal = cp.conformal_fit(calibration, cfg.conformal.alpha)
     lo, hi = cp.conformal_interval(cal, current.y_pred)
     coverage = cp.empirical_coverage(np.column_stack([lo, hi]), current.y_true)
-    target = 1.0 - cfg.conformal_alpha
+    target = 1.0 - cfg.conformal.alpha
     shortfall = max(0.0, target - coverage)
     section = {
         "status": "ok",
@@ -361,14 +336,10 @@ def uncertainty_section(cfg: MonitorConfig, current: ScoredDataset) -> dict:
 def weakness_section(
     cfg: MonitorConfig, current: ScoredDataset, train: ScoredDataset | None
 ) -> dict:
-    if not cfg.segmentation_features:
+    seg = cfg.segmentation
+    if not seg.features:
         return {"status": "not_configured"}
-    regions = outcome.weak_region_scan(
-        current,
-        cfg.segmentation_features,
-        bins=cfg.segmentation_bins,
-        min_rows=cfg.min_rows,
-    )
+    regions = outcome.weak_region_scan(current, seg.features, bins=seg.bins, min_rows=seg.min_rows)
     section: dict = {
         "status": "ok",
         "metric": regions[0].metric if regions else outcome.default_error_metric(current.y_true),
@@ -385,44 +356,34 @@ def weakness_section(
     }
     if train is not None:
         gaps = {}
-        for feature in cfg.segmentation_features:
-            table = outcome.fit_gap(train, current, feature, cfg.segmentation_bins)
+        for feature in seg.features:
+            table = outcome.fit_gap(train, current, feature, seg.bins)
             gaps[feature] = {
                 "metric": table.metric,
                 "overall_train": table.overall_train,
                 "overall_test": table.overall_test,
-                "segments": [
-                    {
-                        "label": row.label,
-                        "train_rows": row.train_rows,
-                        "test_rows": row.test_rows,
-                        "train_value": row.train_value,
-                        "test_value": row.test_value,
-                        "gap": row.gap,
-                        "flag": row.flag,
-                    }
-                    for row in table.rows
-                ],
+                "segments": [asdict(row) for row in table.rows],
             }
         section["fit_gap"] = gaps
     return section
 
 
 def robustness_section(cfg: MonitorConfig, current: ScoredDataset) -> dict:
-    if cfg.model_command is None:
+    if cfg.model.command is None:
         return {"status": "not_configured"}
-    model = ExternalModel(cfg.model_command, cfg.model_timeout)
+    model = ExternalModel(cfg.model.command, cfg.model.timeout)
+    rob = cfg.robustness
     sensitivity = outcome.perturbation_test(
         model,
         current.frame,
-        noise_fraction=cfg.noise_fraction,
-        n_repeats=cfg.noise_repeats,
+        noise_fraction=rob.noise_fraction,
+        n_repeats=rob.n_repeats,
         seed=cfg.seed,
     )
     section: dict = {
         "status": "ok",
-        "noise_fraction": cfg.noise_fraction,
-        "n_repeats": cfg.noise_repeats,
+        "noise_fraction": rob.noise_fraction,
+        "n_repeats": rob.n_repeats,
         "sensitivity": [
             {
                 "feature": row.feature,
@@ -432,14 +393,14 @@ def robustness_section(cfg: MonitorConfig, current: ScoredDataset) -> dict:
             for row in sensitivity.rows
         ],
     }
-    if cfg.irrelevant_features:
+    if rob.irrelevant_features:
         inv = outcome.invariance_test(
             model,
             current.frame,
-            cfg.irrelevant_features,
-            mode=cfg.invariance_mode,
+            rob.irrelevant_features,
+            mode=rob.invariance_mode,
             seed=cfg.seed,
-            tolerance=cfg.invariance_tolerance,
+            tolerance=rob.tolerance,
         )
         section["invariance"] = {
             "subject": "invariance",
@@ -503,7 +464,7 @@ SECTIONS = {
     ),
     "uncertainty": lambda cfg, data: uncertainty_section(cfg, data.scored("current")),
     "weakness": lambda cfg, data: weakness_section(
-        cfg, data.scored("current"), data.train if cfg.segmentation_features else None
+        cfg, data.scored("current"), data.train if cfg.segmentation.features else None
     ),
     "robustness": lambda cfg, data: robustness_section(cfg, data.scored("current")),
 }
@@ -518,14 +479,19 @@ def run_monitor(cfg: MonitorConfig) -> MonitoringReport:
         "reference": fingerprint_dataset(data.reference),
         "current": fingerprint_dataset(data.current),
     }
-    if data.train is not None:
-        datasets["train"] = fingerprint_dataset(data.train)
+    # an optional dataset that cannot be loaded (the weakness stage meets
+    # the same error when it reads train) or a failing stage yields a
+    # structured error and an incomplete report instead of aborting the run
+    status = "complete"
+    try:
+        if data.train is not None:
+            datasets["train"] = fingerprint_dataset(data.train)
+    except Exception as exc:
+        status = "incomplete"
+        datasets["train"] = {"error": f"{type(exc).__name__}: {exc}"}
 
     sections: dict = {}
-    status = "complete"
     for name, stage in SECTIONS.items():
-        # a broken stage yields a structured error section and an incomplete
-        # report instead of aborting the whole run
         try:
             sections[name] = _json_safe(stage(cfg, data))
         except Exception as exc:

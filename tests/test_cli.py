@@ -49,6 +49,35 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
 
+    def test_wrong_typed_config_value_exits_two_with_pointer(self, tmp_path):
+        config = write_pipeline_fixture(tmp_path, config_overrides={"drift": {"bins": "x"}})
+        proc = run_cli(["drift", "--config", str(config)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: /drift/bins: ")
+
+    @pytest.mark.parametrize("segmentation", [[], ["x0"]])
+    def test_missing_train_file_gives_incomplete_report(self, tmp_path, segmentation):
+        config = write_pipeline_fixture(
+            tmp_path,
+            config_overrides={
+                "data": {"train": "missing.csv"},
+                "segmentation": {"features": segmentation},
+            },
+        )
+        out = tmp_path / "report.json"
+        proc = run_cli(["monitor", "--config", str(config), "--out", str(out)])
+        assert proc.returncode == 1, proc.stderr
+        report = json.loads(out.read_text())
+        assert report["status"] == "incomplete"
+        assert report["datasets"]["train"]["error"].startswith("FileNotFoundError: ")
+        assert report["sections"]["drift"]["status"] == "ok"
+        weakness = report["sections"]["weakness"]
+        if segmentation:
+            assert weakness["status"] == "error"
+            assert weakness["error"] == report["datasets"]["train"]["error"]
+        else:
+            assert weakness == {"status": "not_configured"}
+
     def test_usage_error_exits_two(self):
         proc = run_cli(["monitor"])  # missing --config
         assert proc.returncode == 2
