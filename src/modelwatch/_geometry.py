@@ -1,10 +1,56 @@
-"""Internal PCA basis shared by outlier detection and reconstruction error."""
+"""Row geometry: the complete-matrix check, z-standardisation, squared
+distances, nearest rows and the PCA basis.
+
+Kept with their callers on purpose: LOF's exact difference-form distances
+(the expansion here leaves up to ~6e-8 on duplicate rows of discrete data,
+which moves LOF scores), ``shift.mahalanobis``'s unfloored ridge and
+pseudo-inverse fallback, ``nn_match``'s Cholesky whitening with its 1e-12
+ridge floor, and the k-means++ seeding sums, which decide the picks.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import FeatureFrame
+from .errors import SchemaError
+
+
+def complete_matrix(frame: FeatureFrame, what: str) -> np.ndarray:
+    """The numeric matrix of ``frame``; a missing cell raises ``SchemaError`` naming ``what``."""
+    X = frame.numeric_matrix()
+    if np.isnan(X).any():
+        raise SchemaError(f"{what} requires a frame with no missing values; impute first")
+    return X
+
+
+def standardize(ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and scales for ``(X - mean) / scale``: the population
+    standard deviation, or 1 for a zero-variance column."""
+    mean = ref.mean(axis=0)
+    std = ref.std(axis=0)
+    return mean, np.where(std > 0, std, 1.0)
+
+
+def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A and of B, by the
+    expansion |a|^2 + |b|^2 - 2 a.b, floored at 0 against rounding."""
+    aa = np.sum(A * A, axis=1)[:, None]
+    bb = np.sum(B * B, axis=1)[None, :]
+    sq = aa + bb - 2.0 * (A @ B.T)
+    return np.maximum(sq, 0.0, out=sq)
+
+
+def nearest(Zq: np.ndarray, Zd: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and Euclidean distances of the k nearest rows of Zd for each
+    row of Zq, nearest first; ties go to the lower Zd index."""
+    dist = sq_dists(Zq, Zd)
+    np.sqrt(dist, out=dist)
+    # a copy: a view would keep the whole len(Zq) x len(Zd) order alive
+    indices = np.argsort(dist, axis=1, kind="stable")[:, :k].copy()
+    return indices, np.take_along_axis(dist, indices, axis=1)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from dataclasses import fields
 from .config import MonitorConfig, build_config, parse_config
 from .errors import ConfigError, ModelWatchError
 from .report import (
-    SECTIONS,
     MonitoringReport,
     RunInputs,
     alerts_exit_code,
@@ -25,7 +24,7 @@ from .report import (
     exit_code_for,
     render_report,
     run_monitor,
-    _json_safe,
+    run_stage,
 )
 
 # command -> (report section it runs, help text)
@@ -103,11 +102,11 @@ def main(argv: list[str] | None = None) -> int:
             return exit_code_for(report)
 
         section_name = SECTION_COMMANDS[args.command][0]
-        section = _json_safe(SECTIONS[section_name](cfg, RunInputs(cfg)))
+        section = run_stage(section_name, cfg, RunInputs(cfg))
         alerts = collect_alerts({section_name: section})
         doc = {"section": section_name, "result": section, "alerts": alerts}
         _emit(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", args.out)
-        return alerts_exit_code(alerts)
+        return 1 if section["status"] == "error" else alerts_exit_code(alerts)
 
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -20,13 +20,13 @@ import numpy as np
 from scipy.stats import cramervonmises_2samp
 from scipy.stats import t as _student_t
 
+from ._geometry import complete_matrix, nearest, standardize
 from .data import FeatureFrame, Residuals, ScoredDataset, residuals
 from .errors import (
     EmptyDevSet,
     EmptySample,
     LengthMismatch,
     NoTimestamps,
-    SchemaError,
     SchemaMismatch,
     TooFewRows,
 )
@@ -86,13 +86,6 @@ class SegmentSeries:
     metric: str
 
 
-def _matching_matrix(frame: FeatureFrame) -> np.ndarray:
-    X = frame.numeric_matrix()
-    if np.isnan(X).any():
-        raise SchemaError("matching requires no missing values in numeric features; impute first")
-    return X
-
-
 def nn_match(
     new: FeatureFrame,
     dev: FeatureFrame,
@@ -111,13 +104,11 @@ def nn_match(
         raise EmptyDevSet("development set is empty")
     if k < 1 or k > dev.n_rows:
         raise ValueError(f"need 1 <= k <= dev rows, got k={k}")
-    Xn = _matching_matrix(new)
-    Xd = _matching_matrix(dev)
+    Xn = complete_matrix(new, "matching")
+    Xd = complete_matrix(dev, "matching")
 
     if metric == "euclidean_standardized":
-        mean = Xd.mean(axis=0)
-        std = Xd.std(axis=0)
-        scale = np.where(std > 0, std, 1.0)
+        mean, scale = standardize(Xd)
         Zn = (Xn - mean) / scale
         Zd = (Xd - mean) / scale
     elif metric == "mahalanobis":
@@ -132,16 +123,8 @@ def nn_match(
     else:
         raise ValueError(f"unknown matching metric {metric!r}")
 
-    sq = (
-        np.sum(Zn * Zn, axis=1)[:, None]
-        + np.sum(Zd * Zd, axis=1)[None, :]
-        - 2.0 * Zn @ Zd.T
-    )
-    dist = np.sqrt(np.maximum(sq, 0.0))
-    order = np.argsort(dist, axis=1, kind="stable")  # stable: ties -> lower dev index
-    matched = order[:, :k]
-    mean_distance = float(dist[np.arange(Xn.shape[0])[:, None], matched].mean())
-    return MatchResult(matched, mean_distance, metric)
+    matched, dist = nearest(Zn, Zd, k)
+    return MatchResult(matched, float(dist.mean()), metric)
 
 
 def residual_two_sample_test(
@@ -247,10 +230,12 @@ def sliding_window_eval(
 ) -> list[WindowPoint]:
     """Evaluate a metric over sliding windows of a time-stamped dataset.
 
-    ``mode="rows"`` slides a window of ``window`` rows by ``step`` rows over
-    the time-sorted data (full windows only); ``mode="time"`` slides a
-    closed interval of ``window`` duration by ``step`` on the timestamp
-    axis. Windows with fewer than ``min_rows`` rows report an absent value.
+    Rows are taken in time order: numbers, or ISO-8601 instants (naive ones
+    as UTC; other text raises ``NoTimestamps``). ``mode="rows"`` slides a
+    window of ``window`` rows by ``step`` rows (full windows only);
+    ``mode="time"`` slides a closed interval of ``window`` duration by
+    ``step`` on that axis. Windows with fewer than ``min_rows`` rows report
+    an absent value.
     """
     if ds.timestamps is None:
         raise NoTimestamps("sliding_window_eval needs a timestamped dataset")
@@ -259,10 +244,11 @@ def sliding_window_eval(
     metric = metric or default_error_metric(ds.y_true)
     check_metric(metric, ds.y_true)
 
-    order = np.argsort(ds.timestamps, kind="stable")
+    axis = _timestamp_axis(ds.timestamps)
+    order = np.argsort(axis, kind="stable")
+    axis = axis[order]
     y = ds.y_true[order]
     pred = ds.y_pred[order]
-    ts_sorted = ds.timestamps[order]
     n = ds.n_rows
     points: list[WindowPoint] = []
 
@@ -276,10 +262,9 @@ def sliding_window_eval(
             sl = slice(start, start + window)
             rows = window
             value = metric_value(metric, y[sl], pred[sl], threshold) if rows >= min_rows else None
-            points.append(WindowPoint(ts_sorted[start], rows, value))
+            points.append(WindowPoint(ds.timestamps[order[start]], rows, value))
             start += step
     elif mode == "time":
-        axis = _timestamp_axis(ts_sorted)
         window = float(window)
         step = float(step)
         if window <= 0 or step <= 0:

@@ -15,6 +15,7 @@ from typing import Protocol, Sequence
 import numpy as np
 from scipy.stats import rankdata
 
+from ._geometry import complete_matrix, sq_dists, standardize
 from .data import CategoricalColumn, FeatureFrame, NumericColumn, ScoredDataset
 from .errors import (
     InvariantViolation,
@@ -257,18 +258,15 @@ def kmeans(
     from the point farthest from its assigned centroid. Iterates until the
     largest centroid movement falls below ``tol`` or ``max_iter`` is hit.
     """
-    X = frame.numeric_matrix()
-    if np.isnan(X).any():
-        raise SchemaError("kmeans requires a frame with no missing values; impute first")
+    X = complete_matrix(frame, "kmeans")
     n, d = X.shape
     if k < 1 or k > n:
         raise KExceedsRows(f"need 1 <= k <= n_rows, got k={k}, n={n}")
 
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    scale = np.where(std > 0, std, 1.0)
+    mean, scale = standardize(X)
     Z = (X - mean) / scale
 
+    # exact differences, not _geometry.sq_dists (see that module's docstring)
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, d))
     centroids[0] = Z[rng.integers(n)]
@@ -283,16 +281,11 @@ def kmeans(
         closest_sq = np.minimum(closest_sq, np.sum((Z - centroids[j]) ** 2, axis=1))
 
     prev_inertia = np.inf
-    ids = np.zeros(n, dtype=np.int64)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        d2 = (
-            np.sum(Z * Z, axis=1)[:, None]
-            + np.sum(centroids * centroids, axis=1)[None, :]
-            - 2.0 * Z @ centroids.T
-        )
+        d2 = sq_dists(Z, centroids)
         ids = np.argmin(d2, axis=1)
-        inertia = float(np.maximum(d2[np.arange(n), ids], 0.0).sum())
+        inertia = float(d2[np.arange(n), ids].sum())
         if inertia > prev_inertia + 1e-9 * max(1.0, prev_inertia):
             raise InvariantViolation(
                 f"k-means inertia increased from {prev_inertia!r} to {inertia!r}"
@@ -306,7 +299,7 @@ def kmeans(
                 new_centroids[j] = Z[members].mean(axis=0)
         empty = [j for j in range(k) if not np.any(ids == j)]
         if empty:
-            dist_to_own = np.maximum(d2[np.arange(n), ids], 0.0)
+            dist_to_own = d2[np.arange(n), ids]
             farthest = np.argsort(-dist_to_own, kind="stable")
             for slot, j in enumerate(empty):
                 new_centroids[j] = Z[farthest[slot]]
@@ -315,13 +308,9 @@ def kmeans(
         if movement < tol:
             break
 
-    d2 = (
-        np.sum(Z * Z, axis=1)[:, None]
-        + np.sum(centroids * centroids, axis=1)[None, :]
-        - 2.0 * Z @ centroids.T
-    )
+    d2 = sq_dists(Z, centroids)
     ids = np.argmin(d2, axis=1)
-    inertia = float(np.maximum(d2[np.arange(n), ids], 0.0).sum())
+    inertia = float(d2[np.arange(n), ids].sum())
     labels = tuple(f"cluster {j}" for j in range(k))
     return KMeansAssignment(
         segment_ids=np.asarray(ids, dtype=np.int64),

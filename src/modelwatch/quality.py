@@ -16,11 +16,10 @@ from typing import Mapping
 import numpy as np
 from scipy.stats import chi2
 
-from ._pca import fit_pca
+from ._geometry import complete_matrix, fit_pca, standardize
 from .data import CategoricalColumn, FeatureFrame, NumericColumn, Schema
 from .errors import (
     AllMissingColumn,
-    SchemaError,
     StrategyKindMismatch,
     TooFewRows,
 )
@@ -235,17 +234,15 @@ def outliers_lof(frame: FeatureFrame, k: int = 20, flag_threshold: float = 1.5) 
     epsilon so duplicate points get density ratio 1 instead of dividing by
     zero; a frame of identical points scores 1.0 everywhere.
     """
-    X = frame.numeric_matrix()
-    if np.isnan(X).any():
-        raise SchemaError("LOF requires a frame with no missing values; impute first")
+    X = complete_matrix(frame, "LOF")
     n = X.shape[0]
     if not 1 <= k < n:
         raise TooFewRows(f"LOF needs 1 <= k < n_rows, got k={k}, n={n}")
 
-    std = X.std(axis=0)
-    scale = np.where(std > 0, std, 1.0)
-    Z = (X - X.mean(axis=0)) / scale
+    mean, scale = standardize(X)
+    Z = (X - mean) / scale
 
+    # exact differences, not _geometry.sq_dists (see that module's docstring)
     diff = Z[:, None, :] - Z[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     np.fill_diagonal(dist, np.inf)
@@ -277,9 +274,7 @@ def outliers_pca_mahalanobis(
     and flags rows whose squared distance exceeds the chi-squared
     ``1 - alpha`` quantile at ``dof = retained components``.
     """
-    X = frame.numeric_matrix()
-    if np.isnan(X).any():
-        raise SchemaError("PCA-Mahalanobis requires a frame with no missing values; impute first")
+    X = complete_matrix(frame, "PCA-Mahalanobis")
     basis = fit_pca(X, variance_fraction)
     n = X.shape[0]
     if basis.n_components == 0:

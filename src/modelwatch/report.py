@@ -26,7 +26,7 @@ from . import outcome, quality
 from .concept import classify_drift
 from .config import MonitorConfig
 from .data import FeatureFrame, NumericColumn, ScoredDataset, load_csv
-from .errors import ConfigError, ModelWatchError
+from .errors import ConfigError
 from .external import ExternalModel
 from .shift import METRICS, apply_thresholds, drift_scan
 
@@ -470,6 +470,17 @@ SECTIONS = {
 }
 
 
+def run_stage(name: str, cfg: MonitorConfig, data: RunInputs) -> dict:
+    """Run one section stage; a failure other than a ``ConfigError`` becomes
+    a ``status: error`` section instead of aborting the command."""
+    try:
+        return _json_safe(SECTIONS[name](cfg, data))
+    except ConfigError:
+        raise
+    except Exception as exc:
+        return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+
+
 def run_monitor(cfg: MonitorConfig) -> MonitoringReport:
     """Execute the full monitoring pipeline under a parsed config."""
     data = RunInputs(cfg)
@@ -490,13 +501,9 @@ def run_monitor(cfg: MonitorConfig) -> MonitoringReport:
         status = "incomplete"
         datasets["train"] = {"error": f"{type(exc).__name__}: {exc}"}
 
-    sections: dict = {}
-    for name, stage in SECTIONS.items():
-        try:
-            sections[name] = _json_safe(stage(cfg, data))
-        except Exception as exc:
-            status = "incomplete"
-            sections[name] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+    sections = {name: run_stage(name, cfg, data) for name in SECTIONS}
+    if any(section["status"] == "error" for section in sections.values()):
+        status = "incomplete"
 
     alerts = collect_alerts(sections)
     digest = config_digest(cfg.effective)

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._pca import PcaBasis, fit_pca
+from ._geometry import PcaBasis, fit_pca, sq_dists
 from .data import FeatureFrame, NumericColumn, ScoredDataset
 from .errors import DimensionMismatch, EmptySample, SchemaMismatch
 
@@ -121,13 +121,22 @@ def ks_two_sample(x, y) -> tuple[float, float]:
     return d, p
 
 
+def _smoothed_pmf(counts: np.ndarray, n: int, epsilon: float) -> np.ndarray:
+    """Bin counts of n draws as a PMF with ``epsilon`` added to every bin and
+    renormalized, so no bin is empty and the log ratios stay finite."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    probs = counts / n + epsilon
+    return probs / probs.sum()
+
+
 def make_histogram_pair(x, y, bins=DEFAULT_BINS, epsilon: float = DEFAULT_EPSILON) -> HistogramPair:
     """Bin two samples on shared equal-width edges spanning the pooled range.
 
-    ``bins`` may be a count or explicit ascending edges. Each PMF gets
-    ``epsilon`` added per bin and is renormalized, keeping KL finite on
-    empirical data. If all pooled values coincide the pair degenerates to a
-    single bin with both PMFs equal to [1].
+    ``bins`` may be a count or explicit ascending edges. Each PMF gets a
+    positive ``epsilon`` added per bin and is renormalized, keeping KL finite
+    on empirical data. If all pooled values coincide the pair degenerates to
+    a single bin with both PMFs equal to [1].
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -149,9 +158,7 @@ def make_histogram_pair(x, y, bins=DEFAULT_BINS, epsilon: float = DEFAULT_EPSILO
 
     def pmf(sample: np.ndarray) -> np.ndarray:
         counts, _ = np.histogram(sample, bins=edges)
-        probs = counts / sample.size
-        probs = probs + epsilon
-        return probs / probs.sum()
+        return _smoothed_pmf(counts, sample.size, epsilon)
 
     return HistogramPair(edges, pmf(x), pmf(y), epsilon)
 
@@ -179,8 +186,7 @@ def make_frequency_pair(
         counts = np.zeros(len(categories))
         for lbl in sample:
             counts[index[lbl]] += 1
-        probs = counts / len(sample) + epsilon
-        return probs / probs.sum()
+        return _smoothed_pmf(counts, len(sample), epsilon)
 
     edges = np.arange(len(categories) + 1, dtype=np.float64)
     return HistogramPair(edges, pmf(x_labels), pmf(y_labels), epsilon, tuple(categories))
@@ -243,13 +249,6 @@ def _check_pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    aa = np.sum(A * A, axis=1)[:, None]
-    bb = np.sum(B * B, axis=1)[None, :]
-    sq = aa + bb - 2.0 * (A @ B.T)
-    return np.maximum(sq, 0.0)
-
-
 def energy_distance(X, Y) -> float:
     """Energy distance 2*E||X-Y|| - E||X-X'|| - E||Y-Y'|| (V-statistic).
 
@@ -257,9 +256,9 @@ def energy_distance(X, Y) -> float:
     including the zero self-pairs, so identical sample sets give exactly 0.
     """
     X, Y = _check_pair(X, Y)
-    d_xy = np.sqrt(_pairwise_sq_dists(X, Y)).mean()
-    d_xx = np.sqrt(_pairwise_sq_dists(X, X)).mean()
-    d_yy = np.sqrt(_pairwise_sq_dists(Y, Y)).mean()
+    d_xy = np.sqrt(sq_dists(X, Y)).mean()
+    d_xx = np.sqrt(sq_dists(X, X)).mean()
+    d_yy = np.sqrt(sq_dists(Y, Y)).mean()
     return float(2.0 * d_xy - d_xx - d_yy)
 
 
@@ -278,7 +277,7 @@ def median_heuristic_bandwidth(X, Y) -> float:
     """Median of the off-diagonal pairwise distances of the pooled sample."""
     X, Y = _check_pair(X, Y)
     Z = np.vstack([X, Y])
-    return float(np.sqrt(_median_offdiag(_pairwise_sq_dists(Z, Z))))
+    return float(np.sqrt(_median_offdiag(sq_dists(Z, Z))))
 
 
 def mmd2(X, Y, bandwidth: float | str = "median", unbiased: bool = False) -> float:
@@ -301,9 +300,9 @@ def mmd2(X, Y, bandwidth: float | str = "median", unbiased: bool = False) -> flo
             raise ValueError("bandwidth must be positive")
     n, m = X.shape[0], Y.shape[0]
     gamma = 1.0 / (2.0 * sigma * sigma)
-    k_xx = np.exp(-gamma * _pairwise_sq_dists(X, X))
-    k_yy = np.exp(-gamma * _pairwise_sq_dists(Y, Y))
-    k_xy = np.exp(-gamma * _pairwise_sq_dists(X, Y))
+    k_xx = np.exp(-gamma * sq_dists(X, X))
+    k_yy = np.exp(-gamma * sq_dists(Y, Y))
+    k_xy = np.exp(-gamma * sq_dists(X, Y))
     if unbiased:
         if n < 2 or m < 2:
             raise EmptySample("unbiased MMD^2 needs at least 2 rows per sample")
@@ -384,7 +383,7 @@ def permutation_pvalue(metric: str, X, Y, n_permutations: int = 199, seed: int =
     n, m = X.shape[0], Y.shape[0]
     N = n + m
     Z = np.vstack([X, Y])
-    K = _pairwise_sq_dists(Z, Z)
+    K = sq_dists(Z, Z)
     if metric == "energy":
         np.sqrt(K, out=K)
     elif metric == "mmd2":

@@ -191,6 +191,22 @@ class TestSectionCommands:
         doc = json.loads(proc.stdout)
         assert doc["result"]["regions"]
 
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("conformal", {"data": {"calibration": "missing.csv"}}),
+            ("weakness", {"data": {"train": "missing.csv"}, "segmentation": {"features": ["x0"]}}),
+        ],
+    )
+    def test_missing_optional_dataset_gives_error_section(self, tmp_path, command, overrides):
+        # the same config under `monitor` reports this section as an error and exits 1
+        config = write_pipeline_fixture(tmp_path, shift=0.0, config_overrides=overrides)
+        proc = run_cli([command, "--config", str(config)])
+        assert proc.returncode == 1, proc.stderr
+        result = json.loads(proc.stdout)["result"]
+        assert result["status"] == "error"
+        assert result["error"].startswith("FileNotFoundError: ")
+
     def test_weakness_without_segmentation_ignores_missing_train(self, tmp_path):
         config = write_pipeline_fixture(
             tmp_path, shift=0.0, config_overrides={"data": {"train": "missing.csv"}}

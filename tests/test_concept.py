@@ -246,6 +246,22 @@ class TestSlidingWindow:
             time.tzset()
         assert axis.tolist() == [1615685400.0, 1615692600.0]
 
+    def test_rows_ordered_by_instant_not_text(self):
+        # as text these sort as rows [2, 1, 0]; as instants (05:00Z, 06:00Z,
+        # 04:00Z) the order is [2, 0, 1]
+        ts = np.array(
+            ["2024-01-01T10:00+05:00", "2024-01-01T06:00Z", "2024-01-01T04:00Z"], dtype=object
+        )
+        ds = make_scored(make_frame(x=np.zeros(3)), np.array([1.0, 2.0, 3.0]), np.zeros(3), timestamps=ts)
+        points = sliding_window_eval(ds, window=1, step=1, metric="mae", mode="rows", min_rows=1)
+        assert [p.value for p in points] == [3.0, 1.0, 2.0]
+
+    def test_non_iso_text_timestamps_rejected_in_rows_mode(self):
+        ts = np.array(["day one", "day two"], dtype=object)
+        ds = make_scored(make_frame(x=np.zeros(2)), np.ones(2), np.zeros(2), timestamps=ts)
+        with pytest.raises(NoTimestamps):
+            sliding_window_eval(ds, window=1, step=1, metric="mae", mode="rows", min_rows=1)
+
     def test_no_timestamps(self):
         ds = make_scored(make_frame(x=[1.0]), [1.0], [1.0])
         with pytest.raises(NoTimestamps):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from modelwatch.data import ColumnSpec, FeatureFrame, Schema
 from modelwatch.errors import AllMissingColumn, StrategyKindMismatch, TooFewRows
 from modelwatch.quality import (
+    _LOF_EPS,
     MISSING_CATEGORY,
     impute,
     outliers_iqr,
@@ -179,7 +182,42 @@ def grid_frame(side=10, extra=None):
     return FeatureFrame.from_numeric(pts)
 
 
+def lof_oracle(Z: np.ndarray, k: int) -> list[float]:
+    """LOF by plain loops over standardized rows: exact distances, exactly
+    k neighbours with ties to the lower index, the mean reach distance
+    floored at _LOF_EPS, and the mean neighbour-to-own lrd ratio."""
+    rows = Z.tolist()
+    n = len(rows)
+    dist = [[math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q))) for q in rows] for p in rows]
+    neighbors = [sorted((j for j in range(n) if j != i), key=lambda j: (dist[i][j], j))[:k] for i in range(n)]
+    kdist = [dist[i][neighbors[i][-1]] for i in range(n)]
+    lrd = []
+    for i in range(n):
+        reach = [max(kdist[o], dist[i][o]) for o in neighbors[i]]
+        lrd.append(1.0 / max(sum(reach) / k, _LOF_EPS))
+    return [sum(lrd[o] for o in neighbors[i]) / k / lrd[i] for i in range(n)]
+
+
 class TestLof:
+    @pytest.mark.parametrize("n, d, k", [(30, 1, 3), (45, 2, 5), (60, 3, 8), (80, 4, 10), (100, 5, 12), (120, 6, 15)])
+    def test_matches_loop_oracle(self, n, d, k):
+        X = np.random.default_rng(n + d + k).normal(size=(n, d))
+        Z = (X - X.mean(axis=0)) / X.std(axis=0)
+        ours = outliers_lof(FeatureFrame.from_numeric(X), k=k)
+        np.testing.assert_allclose(ours.scores, lof_oracle(Z, k), rtol=1e-12)
+
+    def test_matches_loop_oracle_with_duplicated_rows(self):
+        # row 0 appears 5 times, so with k=4 its copies have mean reach
+        # distance 0 and hit the floor; rows 1-11 appear twice and rows
+        # 12-19 three times, so neighbours tie at distance 0
+        rng = np.random.default_rng(7)
+        base = rng.normal(size=(40, 3))
+        X = np.vstack([base, np.repeat(base[:1], 4, axis=0), base[1:12], base[12:20], base[12:20]])
+        X = X[rng.permutation(len(X))]
+        Z = (X - X.mean(axis=0)) / X.std(axis=0)
+        ours = outliers_lof(FeatureFrame.from_numeric(X), k=4)
+        np.testing.assert_allclose(ours.scores, lof_oracle(Z, 4), rtol=1e-12)
+
     def test_uniform_grid_scores_near_one(self):
         result = outliers_lof(grid_frame(10), k=10)
         assert result.scores.min() > 0.8

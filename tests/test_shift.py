@@ -99,6 +99,20 @@ class TestHistogramPair:
         np.testing.assert_array_equal(h.p, [1.0])
         np.testing.assert_array_equal(h.q, [1.0])
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0])
+    @pytest.mark.parametrize(
+        "make_pair",
+        [
+            lambda eps: make_histogram_pair([0.0, 1.0, 2.0, 3.0], [2.5, 3.0], 10, eps),
+            lambda eps: make_frequency_pair(["a", "b"], ["b", "c"], eps),
+        ],
+        ids=["histogram", "frequency"],
+    )
+    def test_nonpositive_epsilon_rejected(self, make_pair, epsilon):
+        # epsilon 0 gave PSI inf and JSD nan; a negative one let shifts pass
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            make_pair(epsilon)
+
     def test_pmfs_sum_to_one(self, rng):
         h = make_histogram_pair(rng.normal(size=50), rng.normal(size=70), bins=7)
         assert h.p.sum() == pytest.approx(1.0, abs=1e-9)

@@ -1,6 +1,7 @@
 """Source-level checks on the library package."""
 
 import ast
+import re
 from pathlib import Path
 
 import modelwatch
@@ -16,5 +17,19 @@ def test_no_assert_statements_in_library():
         for path in sorted(PACKAGE.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_row_geometry_only_in_geometry_module():
+    # z-standardisation and the |a|^2 + |b|^2 - 2 a.b distance expansion are
+    # written once, in _geometry.py; a second copy drifts from the first
+    expansion = re.compile(r"2(\.0)?\s*\*.*@.*\.T\b")
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "_geometry.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if ".std(axis=0)" in line or expansion.search(line)
     ]
     assert found == []
