@@ -30,7 +30,7 @@ from .errors import (
     SchemaMismatch,
     TooFewRows,
 )
-from .outcome import DEFAULT_MIN_ROWS, check_metric, metric_value, default_error_metric, segment_by_bins
+from .outcome import DEFAULT_MIN_ROWS, align_labels, resolve_metric, score_groups, segment_by_bins
 from .shift import DriftResult, DriftScanConfig, drift_scan, ks_two_sample
 
 
@@ -241,29 +241,20 @@ def sliding_window_eval(
         raise NoTimestamps("sliding_window_eval needs a timestamped dataset")
     if step > window:
         raise ValueError("step must not exceed window")
-    metric = metric or default_error_metric(ds.y_true)
-    check_metric(metric, ds.y_true)
+    metric = resolve_metric(metric, ds.y_true)
 
     axis = _timestamp_axis(ds.timestamps)
     order = np.argsort(axis, kind="stable")
     axis = axis[order]
-    y = ds.y_true[order]
-    pred = ds.y_pred[order]
-    n = ds.n_rows
-    points: list[WindowPoint] = []
 
     if mode == "rows":
         window = int(window)
         step = int(step)
         if window < 1 or step < 1:
             raise ValueError("row windows need window >= 1 and step >= 1")
-        start = 0
-        while start + window <= n:
-            sl = slice(start, start + window)
-            rows = window
-            value = metric_value(metric, y[sl], pred[sl], threshold) if rows >= min_rows else None
-            points.append(WindowPoint(ds.timestamps[order[start]], rows, value))
-            start += step
+        starts = range(0, ds.n_rows - window + 1, step)
+        groups = (order[start : start + window] for start in starts)
+        window_starts = [ds.timestamps[order[start]] for start in starts]
     elif mode == "time":
         window = float(window)
         step = float(step)
@@ -271,22 +262,15 @@ def sliding_window_eval(
             raise ValueError("time windows need window > 0 and step > 0")
         t0, t_max = axis[0], axis[-1]
         span_eps = 1e-9 * max(abs(t_max - t0), 1.0)
-        start = t0
-        while True:
-            members = (axis >= start) & (axis <= start + window)
-            rows = int(members.sum())
-            value = (
-                metric_value(metric, y[members], pred[members], threshold)
-                if rows >= min_rows
-                else None
-            )
-            points.append(WindowPoint(float(start), rows, value))
-            start += step
-            if start + window > t_max + span_eps:
-                break
+        starts = [t0]
+        while starts[-1] + step + window <= t_max + span_eps:
+            starts.append(starts[-1] + step)
+        groups = (order[(axis >= start) & (axis <= start + window)] for start in starts)
+        window_starts = [float(start) for start in starts]
     else:
         raise ValueError(f"unknown window mode {mode!r}")
-    return points
+    scores = score_groups(ds, groups, metric, min_rows, threshold)
+    return [WindowPoint(start, rows, value) for start, (rows, value) in zip(window_starts, scores)]
 
 
 def paired_model_comparison(errors_a, errors_b) -> PairedComparison:
@@ -339,28 +323,12 @@ def segment_error_tracking(
     for b in batches[1:]:
         if b.frame.names != names:
             raise SchemaMismatch("batches disagree on columns")
-    metric = metric or default_error_metric(batches[0].y_true)
-
-    per_batch: list[dict[str, tuple[int, float | None]]] = []
-    label_order: list[str] = []
-    for ds in batches:
-        check_metric(metric, ds.y_true)
-        seg = segment_by_bins(ds.frame, feature, edges)
-        cells: dict[str, tuple[int, float | None]] = {}
-        for sid, label in enumerate(seg.labels):
-            members = seg.segment_ids == sid
-            rows = int(members.sum())
-            value = (
-                metric_value(metric, ds.y_true[members], ds.y_pred[members], threshold)
-                if rows >= min_rows
-                else None
-            )
-            cells[label] = (rows, value)
-            if label not in label_order:
-                label_order.append(label)
-        per_batch.append(cells)
-
-    values = [
-        [cells.get(label, (0, None))[1] for cells in per_batch] for label in label_order
+    metric = resolve_metric(metric, *(ds.y_true for ds in batches))
+    labels, batch_ids = align_labels([segment_by_bins(ds.frame, feature, edges) for ds in batches])
+    sids = range(len(labels))
+    columns = [
+        score_groups(ds, (ids == sid for sid in sids), metric, min_rows, threshold)
+        for ds, ids in zip(batches, batch_ids)
     ]
-    return SegmentSeries(tuple(label_order), values, metric)
+    values = [[column[sid][1] for column in columns] for sid in sids]
+    return SegmentSeries(labels, values, metric)

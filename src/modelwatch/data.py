@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -429,9 +429,12 @@ def residuals(ds: ScoredDataset) -> Residuals:
 
 def _parse_numeric(token: str, row: int, col: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise TypeParseError(row, col, token) from None
+        value = math.nan
+    if not math.isfinite(value):  # NaN only ever marks a missing cell
+        raise TypeParseError(row, col, token)
+    return value
 
 
 def load_csv(
@@ -627,15 +630,5 @@ def split_dataset(
     for (label, _), size in zip(fractions, sizes):
         idx = np.sort(perm[start : start + size])
         start += size
-        part = ds.take(idx)
-        tagged = ScoredDataset(
-            frame=part.frame,
-            y_true=part.y_true,
-            y_pred=part.y_pred,
-            y_pred_lower=part.y_pred_lower,
-            y_pred_upper=part.y_pred_upper,
-            timestamps=part.timestamps,
-            split_tag=np.array([label] * size, dtype=object),
-        )
-        parts.append(tagged)
+        parts.append(replace(ds.take(idx), split_tag=np.array([label] * size, dtype=object)))
     return parts

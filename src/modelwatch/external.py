@@ -75,6 +75,8 @@ def score_external(model: ExternalModel, frame: FeatureFrame) -> np.ndarray:
             predictions[i] = float(line.strip())
         except ValueError:
             raise ModelProtocolError("parse", f"line {i + 1}: not a decimal: {line!r}") from None
+        if not np.isfinite(predictions[i]):
+            raise ModelProtocolError("parse", f"line {i + 1}: not a finite decimal: {line!r}")
     if len(lines) != frame.n_rows:
         raise ModelProtocolError(
             "count", f"model returned {len(lines)} predictions for {frame.n_rows} rows"

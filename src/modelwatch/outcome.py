@@ -10,7 +10,7 @@ model adapter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 from scipy.stats import rankdata
@@ -160,6 +160,32 @@ def default_error_metric(y: np.ndarray) -> str:
     return "error_rate" if _is_binary(y) else "mae"
 
 
+def resolve_metric(metric: str | None, *targets: np.ndarray) -> str:
+    """The metric to score with: ``metric`` if given, else the default for
+    the first target array; checked against every target array."""
+    metric = metric or default_error_metric(targets[0])
+    for y in targets:
+        check_metric(metric, y)
+    return metric
+
+
+def score_groups(
+    ds: ScoredDataset, groups: Iterable, metric: str, min_rows: int, threshold: float
+) -> list[tuple[int, float | None]]:
+    """``(rows, value)`` for each row group of ``ds``: a boolean mask, a
+    slice or an index array. Groups with fewer than ``min_rows`` rows, and
+    empty groups always, get no value."""
+    scores = []
+    for group in groups:
+        y = ds.y_true[group]
+        rows = y.size
+        if rows >= max(min_rows, 1):
+            scores.append((rows, metric_value(metric, y, ds.y_pred[group], threshold)))
+        else:
+            scores.append((rows, None))
+    return scores
+
+
 def _lift(value: float | None, overall: float | None) -> tuple[float | None, bool]:
     if value is None or overall is None:
         return None, False
@@ -189,6 +215,43 @@ def _bin_labels(feature: str, edges: np.ndarray) -> list[str]:
     return labels
 
 
+def _numeric_feature(frame: FeatureFrame, feature: str) -> NumericColumn:
+    if feature not in frame:
+        raise UnknownFeature(feature)
+    col = frame.column(feature)
+    if not isinstance(col, NumericColumn):
+        raise SchemaError(f"segment_by_bins needs a numeric feature, got {feature!r}")
+    return col
+
+
+def _quantile_edges(col: NumericColumn, count: int) -> np.ndarray:
+    """Edges of ``count`` quantile bins over the observed values,
+    deduplicated for ties."""
+    if count < 2:
+        raise ValueError("quantile count must be >= 2")
+    observed = col.observed()
+    if observed.size == 0:
+        raise SchemaError(f"feature {col.name!r} has no observed values")
+    edges = np.unique(np.quantile(observed, np.linspace(0, 1, int(count) + 1)))
+    if edges.size == 1:  # constant feature collapses to a single segment
+        edges = np.array([edges[0], edges[0]])
+    return edges
+
+
+def align_labels(
+    assignments: Sequence[SegmentAssignment],
+) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """All assignments' labels in first-appearance order, and each
+    assignment's segment ids renumbered into them."""
+    labels = tuple(dict.fromkeys(label for seg in assignments for label in seg.labels))
+    index = {label: i for i, label in enumerate(labels)}
+    ids = [
+        np.array([index[label] for label in seg.labels], dtype=np.int64)[seg.segment_ids]
+        for seg in assignments
+    ]
+    return labels, ids
+
+
 def segment_by_bins(
     frame: FeatureFrame,
     feature: str,
@@ -202,21 +265,9 @@ def segment_by_bins(
     segment, and values outside explicit edges an "out_of_range" segment,
     each only when present.
     """
-    if feature not in frame:
-        raise UnknownFeature(feature)
-    col = frame.column(feature)
-    if not isinstance(col, NumericColumn):
-        raise SchemaError(f"segment_by_bins needs a numeric feature, got {feature!r}")
-    observed = col.observed()
+    col = _numeric_feature(frame, feature)
     if isinstance(edges, (int, np.integer)):
-        if edges < 2:
-            raise ValueError("quantile count must be >= 2")
-        if observed.size == 0:
-            raise SchemaError(f"feature {feature!r} has no observed values")
-        qs = np.quantile(observed, np.linspace(0, 1, int(edges) + 1))
-        edge_arr = np.unique(qs)
-        if edge_arr.size == 1:  # constant feature collapses to a single segment
-            edge_arr = np.array([edge_arr[0], edge_arr[0]])
+        edge_arr = _quantile_edges(col, edges)
     else:
         edge_arr = np.asarray(edges, dtype=np.float64)
         if edge_arr.ndim != 1 or edge_arr.size < 2 or np.any(np.diff(edge_arr) < 0):
@@ -339,14 +390,9 @@ def segment_metrics(
     if len(seg.segment_ids) != ds.n_rows:
         raise SchemaMismatch("segment assignment does not match dataset rows")
     overall = metric_value(metric, ds.y_true, ds.y_pred, threshold)
+    groups = (seg.segment_ids == sid for sid in range(len(seg.labels)))
     rows = []
-    for sid, label in enumerate(seg.labels):
-        members = seg.segment_ids == sid
-        count = int(members.sum())
-        if count == 0:
-            rows.append(SegmentMetricRow(label, 0, None, None))
-            continue
-        value = metric_value(metric, ds.y_true[members], ds.y_pred[members], threshold)
+    for label, (count, value) in zip(seg.labels, score_groups(ds, groups, metric, 1, threshold)):
         lift, degenerate = _lift(value, overall)
         rows.append(SegmentMetricRow(label, count, value, lift, degenerate))
     return SegmentMetricsTable(metric, overall, ds.n_rows, rows)
@@ -367,9 +413,7 @@ def weak_region_scan(
     broken by row count descending then feature name. Regions below
     ``min_rows`` are omitted to suppress noise.
     """
-    metric = metric or default_error_metric(ds.y_true)
-    check_metric(metric, ds.y_true)
-    overall = metric_value(metric, ds.y_true, ds.y_pred, threshold)
+    metric = resolve_metric(metric, ds.y_true)
     regions: list[WeakRegion] = []
     for feature in features:
         seg = segment_by_bins(ds.frame, feature, bins)
@@ -405,9 +449,7 @@ def fit_gap(
     """
     if train.frame.names != test.frame.names:
         raise SchemaMismatch("train and test frames disagree on columns")
-    metric = metric or default_error_metric(train.y_true)
-    check_metric(metric, train.y_true)
-    check_metric(metric, test.y_true)
+    metric = resolve_metric(metric, train.y_true, test.y_true)
 
     if feature is None:
         labels = ("all",)
@@ -418,30 +460,19 @@ def fit_gap(
             raise ValueError("fit_gap needs explicit edges when a feature is given")
         if isinstance(edges, (int, np.integer)):
             # derive shared quantile edges from train so both sets bin identically
-            col = train.frame.column(feature)
-            if not isinstance(col, NumericColumn):
-                raise SchemaError(f"fit_gap needs a numeric feature, got {feature!r}")
-            edges = np.unique(np.quantile(col.observed(), np.linspace(0, 1, int(edges) + 1)))
-            if edges.size == 1:
-                edges = np.array([edges[0], edges[0]])
-        seg_train = segment_by_bins(train.frame, feature, edges)
-        seg_test = segment_by_bins(test.frame, feature, edges)
-        # align label spaces: extras like "missing" may exist on one side only
-        labels = tuple(dict.fromkeys(seg_train.labels + seg_test.labels))
-        index = {lbl: i for i, lbl in enumerate(labels)}
-        train_ids = np.array([index[seg_train.labels[i]] for i in seg_train.segment_ids])
-        test_ids = np.array([index[seg_test.labels[i]] for i in seg_test.segment_ids])
+            edges = _quantile_edges(_numeric_feature(train.frame, feature), edges)
+        labels, (train_ids, test_ids) = align_labels(
+            [segment_by_bins(ds.frame, feature, edges) for ds in (train, test)]
+        )
 
     overall_train = metric_value(metric, train.y_true, train.y_pred, threshold)
     overall_test = metric_value(metric, test.y_true, test.y_pred, threshold)
+    sids = range(len(labels))
+    train_scores = score_groups(train, (train_ids == sid for sid in sids), metric, 1, threshold)
+    test_scores = score_groups(test, (test_ids == sid for sid in sids), metric, 1, threshold)
 
     rows = []
-    for sid, label in enumerate(labels):
-        tr = train_ids == sid
-        te = test_ids == sid
-        tr_n, te_n = int(tr.sum()), int(te.sum())
-        tr_v = metric_value(metric, train.y_true[tr], train.y_pred[tr], threshold) if tr_n else None
-        te_v = metric_value(metric, test.y_true[te], test.y_pred[te], threshold) if te_n else None
+    for label, (tr_n, tr_v), (te_n, te_v) in zip(labels, train_scores, test_scores):
         if tr_v is None or te_v is None:
             rows.append(FitGapRow(label, tr_n, te_n, tr_v, te_v, None, "ok"))
             continue

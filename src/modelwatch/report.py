@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
 
@@ -230,8 +230,8 @@ def concept_section(
     ref_frame, imputed_ref = _impute_numeric_medians(reference.frame)
     cur_frame, imputed_cur = _impute_numeric_medians(current.frame)
     if imputed_ref or imputed_cur:
-        reference = ScoredDataset(ref_frame, reference.y_true, reference.y_pred)
-        current = ScoredDataset(cur_frame, current.y_true, current.y_pred)
+        reference = replace(reference, frame=ref_frame)
+        current = replace(current, frame=cur_frame)
     diag = classify_drift(reference, current, cfg.concept_drift, input_scan=input_scan)
     severity = {
         "no_drift": "pass",

@@ -207,6 +207,22 @@ class TestSectionCommands:
         assert result["status"] == "error"
         assert result["error"].startswith("FileNotFoundError: ")
 
+    def test_weakness_all_missing_train_feature_is_schema_error(self, tmp_path):
+        with open(tmp_path / "train.csv", "w", encoding="utf-8") as fh:
+            fh.write("x0,x1,y,pred\n" + ",0.5,2.5,1.25\n" * 50)
+        config = write_pipeline_fixture(
+            tmp_path,
+            shift=0.0,
+            config_overrides={
+                "data": {"train": "train.csv"},
+                "segmentation": {"features": ["x0"], "bins": 4},
+            },
+        )
+        proc = run_cli(["weakness", "--config", str(config)])
+        assert proc.returncode == 1, proc.stderr
+        result = json.loads(proc.stdout)["result"]
+        assert result == {"status": "error", "error": "SchemaError: feature 'x0' has no observed values"}
+
     def test_weakness_without_segmentation_ignores_missing_train(self, tmp_path):
         config = write_pipeline_fixture(
             tmp_path, shift=0.0, config_overrides={"data": {"train": "missing.csv"}}

@@ -91,6 +91,17 @@ class TestLoadCsv:
         assert exc.value.column == "age"
         assert exc.value.token == "abc"
 
+    @pytest.mark.parametrize("column", ["x0", "y"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity", "1e400"])
+    def test_non_finite_number_is_parse_error(self, tmp_path, token, column):
+        # NaN only ever marks a missing cell; a non-finite value is no number
+        cells = {"x0": "1", "x1": "2", "y": "3", "pred": "2.5"}
+        cells[column] = token
+        path = write(tmp_path, "x0,x1,y,pred\n4,5,6,6.5\n" + ",".join(cells.values()) + "\n")
+        with pytest.raises(TypeParseError) as exc:
+            load_csv(path, simple_schema())
+        assert (exc.value.row, exc.value.column, exc.value.token) == (1, column, token)
+
     def test_short_row_is_structured_error(self, tmp_path):
         path = write(tmp_path, "age,grade\n30,A\n40\n")
         with pytest.raises(ShortRow) as exc:

@@ -34,6 +34,14 @@ for i in range(n):
     print("not-a-number")
 """
 
+NAN_MODEL = """\
+import sys
+data = sys.stdin.read()
+n = data.count("\\n") - 1
+for i in range(n):
+    print("nan")
+"""
+
 SLEEPER_MODEL = """\
 import sys, time
 sys.stdin.read()
@@ -83,6 +91,12 @@ class TestScoreExternal:
         with pytest.raises(ModelProtocolError) as exc:
             score_external(model, frame)
         assert exc.value.reason == "parse"
+
+    def test_non_finite_prediction_is_parse_error(self, tmp_path, frame):
+        model = ExternalModel(model_command(tmp_path, NAN_MODEL, "nan.py"))
+        with pytest.raises(ModelProtocolError) as exc:
+            score_external(model, frame)
+        assert str(exc.value) == "[parse] line 1: not a finite decimal: 'nan'"
 
     def test_timeout(self, tmp_path, frame):
         model = ExternalModel(model_command(tmp_path, SLEEPER_MODEL, "sleeper.py"), timeout=1.0)

@@ -1,9 +1,39 @@
+import warnings
+from typing import Sequence
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from modelwatch.data import FeatureFrame
-from modelwatch.errors import KExceedsRows, MetricIncompatible, UnknownFeature
+from modelwatch.concept import (
+    SegmentSeries,
+    WindowPoint,
+    _timestamp_axis,
+    segment_error_tracking,
+    sliding_window_eval,
+)
+from modelwatch.data import FeatureFrame, NumericColumn, ScoredDataset
+from modelwatch.errors import (
+    EmptySample,
+    KExceedsRows,
+    MetricIncompatible,
+    NoTimestamps,
+    SchemaError,
+    SchemaMismatch,
+    UnknownFeature,
+)
 from modelwatch.outcome import (
+    DEFAULT_MIN_ROWS,
+    FitGapRow,
+    FitGapTable,
+    SegmentAssignment,
+    SegmentMetricRow,
+    SegmentMetricsTable,
+    WeakRegion,
+    _lift,
+    check_metric,
+    default_error_metric,
     fit_gap,
     invariance_test,
     kmeans,
@@ -334,3 +364,349 @@ class TestMetricValue:
         y = np.array([1.0, 0.0])
         p = np.array([0.6, 0.6])
         assert metric_value("error_rate", y, p, 0.5) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# One segment-scoring path: the merged functions against a reference copy
+# ---------------------------------------------------------------------------
+
+# Reference implementations: each of the five functions written out on its
+# own, with its own metric choice, per-group rule, label alignment and
+# quantile edges (docstrings dropped). The property tests below require the
+# library functions to give equal results, or raise the same error, on every
+# input outside the differences the tests name.
+
+
+def ref_segment_metrics(
+    ds: ScoredDataset,
+    seg: SegmentAssignment,
+    metric: str = "mae",
+    threshold: float = 0.5,
+) -> SegmentMetricsTable:
+    check_metric(metric, ds.y_true)
+    if len(seg.segment_ids) != ds.n_rows:
+        raise SchemaMismatch("segment assignment does not match dataset rows")
+    overall = metric_value(metric, ds.y_true, ds.y_pred, threshold)
+    rows = []
+    for sid, label in enumerate(seg.labels):
+        members = seg.segment_ids == sid
+        count = int(members.sum())
+        if count == 0:
+            rows.append(SegmentMetricRow(label, 0, None, None))
+            continue
+        value = metric_value(metric, ds.y_true[members], ds.y_pred[members], threshold)
+        lift, degenerate = _lift(value, overall)
+        rows.append(SegmentMetricRow(label, count, value, lift, degenerate))
+    return SegmentMetricsTable(metric, overall, ds.n_rows, rows)
+
+
+def ref_weak_region_scan(
+    ds: ScoredDataset,
+    features: Sequence[str],
+    bins: int = 5,
+    min_rows: int = DEFAULT_MIN_ROWS,
+    metric: str | None = None,
+    threshold: float = 0.5,
+) -> list[WeakRegion]:
+    metric = metric or default_error_metric(ds.y_true)
+    check_metric(metric, ds.y_true)
+    overall = metric_value(metric, ds.y_true, ds.y_pred, threshold)
+    regions: list[WeakRegion] = []
+    for feature in features:
+        seg = segment_by_bins(ds.frame, feature, bins)
+        table = ref_segment_metrics(ds, seg, metric, threshold)
+        for row in table.segments:
+            if row.rows < min_rows or row.value is None or row.lift is None:
+                continue
+            regions.append(
+                WeakRegion(feature, row.label, row.rows, metric, row.value, row.lift)
+            )
+    regions.sort(key=lambda r: (-r.lift, -r.rows, r.feature, r.range_label))
+    return regions
+
+
+def ref_fit_gap(
+    train: ScoredDataset,
+    test: ScoredDataset,
+    feature: str | None = None,
+    edges: Sequence[float] | int | None = None,
+    metric: str | None = None,
+    overfit_gap_fraction: float = 0.2,
+    underfit_multiplier: float = 1.5,
+    threshold: float = 0.5,
+) -> FitGapTable:
+    if train.frame.names != test.frame.names:
+        raise SchemaMismatch("train and test frames disagree on columns")
+    metric = metric or default_error_metric(train.y_true)
+    check_metric(metric, train.y_true)
+    check_metric(metric, test.y_true)
+
+    if feature is None:
+        labels = ("all",)
+        train_ids = np.zeros(train.n_rows, dtype=np.int64)
+        test_ids = np.zeros(test.n_rows, dtype=np.int64)
+    else:
+        if edges is None:
+            raise ValueError("fit_gap needs explicit edges when a feature is given")
+        if isinstance(edges, (int, np.integer)):
+            # derive shared quantile edges from train so both sets bin identically
+            col = train.frame.column(feature)
+            if not isinstance(col, NumericColumn):
+                raise SchemaError(f"fit_gap needs a numeric feature, got {feature!r}")
+            edges = np.unique(np.quantile(col.observed(), np.linspace(0, 1, int(edges) + 1)))
+            if edges.size == 1:
+                edges = np.array([edges[0], edges[0]])
+        seg_train = segment_by_bins(train.frame, feature, edges)
+        seg_test = segment_by_bins(test.frame, feature, edges)
+        # align label spaces: extras like "missing" may exist on one side only
+        labels = tuple(dict.fromkeys(seg_train.labels + seg_test.labels))
+        index = {lbl: i for i, lbl in enumerate(labels)}
+        train_ids = np.array([index[seg_train.labels[i]] for i in seg_train.segment_ids])
+        test_ids = np.array([index[seg_test.labels[i]] for i in seg_test.segment_ids])
+
+    overall_train = metric_value(metric, train.y_true, train.y_pred, threshold)
+    overall_test = metric_value(metric, test.y_true, test.y_pred, threshold)
+
+    rows = []
+    for sid, label in enumerate(labels):
+        tr = train_ids == sid
+        te = test_ids == sid
+        tr_n, te_n = int(tr.sum()), int(te.sum())
+        tr_v = metric_value(metric, train.y_true[tr], train.y_pred[tr], threshold) if tr_n else None
+        te_v = metric_value(metric, test.y_true[te], test.y_pred[te], threshold) if te_n else None
+        if tr_v is None or te_v is None:
+            rows.append(FitGapRow(label, tr_n, te_n, tr_v, te_v, None, "ok"))
+            continue
+        gap = te_v - tr_v
+        flag = "ok"
+        if gap > overfit_gap_fraction * overall_test and tr_v < overall_train:
+            flag = "overfit"
+        elif tr_v > underfit_multiplier * overall_train and te_v > underfit_multiplier * overall_test:
+            flag = "underfit"
+        rows.append(FitGapRow(label, tr_n, te_n, tr_v, te_v, gap, flag))
+    return FitGapTable(metric, overall_train, overall_test, rows)
+
+
+def ref_sliding_window_eval(
+    ds: ScoredDataset,
+    window,
+    step,
+    metric: str | None = None,
+    mode: str = "rows",
+    min_rows: int = DEFAULT_MIN_ROWS,
+    threshold: float = 0.5,
+) -> list[WindowPoint]:
+    if ds.timestamps is None:
+        raise NoTimestamps("sliding_window_eval needs a timestamped dataset")
+    if step > window:
+        raise ValueError("step must not exceed window")
+    metric = metric or default_error_metric(ds.y_true)
+    check_metric(metric, ds.y_true)
+
+    axis = _timestamp_axis(ds.timestamps)
+    order = np.argsort(axis, kind="stable")
+    axis = axis[order]
+    y = ds.y_true[order]
+    pred = ds.y_pred[order]
+    n = ds.n_rows
+    points: list[WindowPoint] = []
+
+    if mode == "rows":
+        window = int(window)
+        step = int(step)
+        if window < 1 or step < 1:
+            raise ValueError("row windows need window >= 1 and step >= 1")
+        start = 0
+        while start + window <= n:
+            sl = slice(start, start + window)
+            rows = window
+            value = metric_value(metric, y[sl], pred[sl], threshold) if rows >= min_rows else None
+            points.append(WindowPoint(ds.timestamps[order[start]], rows, value))
+            start += step
+    elif mode == "time":
+        window = float(window)
+        step = float(step)
+        if window <= 0 or step <= 0:
+            raise ValueError("time windows need window > 0 and step > 0")
+        t0, t_max = axis[0], axis[-1]
+        span_eps = 1e-9 * max(abs(t_max - t0), 1.0)
+        start = t0
+        while True:
+            members = (axis >= start) & (axis <= start + window)
+            rows = int(members.sum())
+            value = (
+                metric_value(metric, y[members], pred[members], threshold)
+                if rows >= min_rows
+                else None
+            )
+            points.append(WindowPoint(float(start), rows, value))
+            start += step
+            if start + window > t_max + span_eps:
+                break
+    else:
+        raise ValueError(f"unknown window mode {mode!r}")
+    return points
+
+
+def ref_segment_error_tracking(
+    batches: Sequence[ScoredDataset],
+    feature: str,
+    edges: Sequence[float],
+    metric: str | None = None,
+    min_rows: int = DEFAULT_MIN_ROWS,
+    threshold: float = 0.5,
+) -> SegmentSeries:
+    if not batches:
+        raise EmptySample("segment_error_tracking needs at least one batch")
+    names = batches[0].frame.names
+    for b in batches[1:]:
+        if b.frame.names != names:
+            raise SchemaMismatch("batches disagree on columns")
+    metric = metric or default_error_metric(batches[0].y_true)
+
+    per_batch: list[dict[str, tuple[int, float | None]]] = []
+    label_order: list[str] = []
+    for ds in batches:
+        check_metric(metric, ds.y_true)
+        seg = segment_by_bins(ds.frame, feature, edges)
+        cells: dict[str, tuple[int, float | None]] = {}
+        for sid, label in enumerate(seg.labels):
+            members = seg.segment_ids == sid
+            rows = int(members.sum())
+            value = (
+                metric_value(metric, ds.y_true[members], ds.y_pred[members], threshold)
+                if rows >= min_rows
+                else None
+            )
+            cells[label] = (rows, value)
+            if label not in label_order:
+                label_order.append(label)
+        per_batch.append(cells)
+
+    values = [
+        [cells.get(label, (0, None))[1] for cells in per_batch] for label in label_order
+    ]
+    return SegmentSeries(tuple(label_order), values, metric)
+
+
+GRID = [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]  # coarse: many ties
+SCORE_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def scored_datasets(draw, binary: bool):
+    """Two numeric features with ties and missing cells, a numeric timestamp
+    with ties, and binary or continuous targets."""
+    n = draw(st.integers(1, 40))
+    cells = st.lists(st.sampled_from(GRID + [np.nan]), min_size=n, max_size=n)
+    if binary:
+        y = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+        pred = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=n, max_size=n))
+    else:
+        y = draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n))
+        pred = draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))
+    timestamps = np.array(draw(st.lists(st.integers(0, 30), min_size=n, max_size=n)), float)
+    # now and then a feature with no observed value at all
+    x, z = ([nan] * n if draw(st.integers(0, 9)) == 0 else draw(cells) for _ in range(2))
+    frame = make_frame(x=x, z=z)
+    return make_scored(frame, y, pred, timestamps=timestamps)
+
+
+def any_datasets(count: int = 1):
+    return st.booleans().flatmap(
+        lambda binary: st.lists(scored_datasets(binary), min_size=count, max_size=count)
+    )
+
+
+METRICS = st.sampled_from([None, "mae", "rmse", "error_rate", "auc"])
+EXPLICIT_EDGES = st.lists(st.sampled_from(GRID), min_size=2, max_size=5).map(sorted)
+EDGES = st.one_of(st.integers(2, 6), EXPLICIT_EDGES)
+
+
+def outcome_of(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestSegmentScoringMatchesReference:
+    @SCORE_SETTINGS
+    @given(any_datasets(), EDGES, METRICS.filter(bool))
+    def test_segment_metrics(self, datasets, edges, metric):
+        (ds,) = datasets
+        seg = outcome_of(segment_by_bins, ds.frame, "x", edges)
+        assume(isinstance(seg, SegmentAssignment))
+        assert outcome_of(segment_metrics, ds, seg, metric) == outcome_of(
+            ref_segment_metrics, ds, seg, metric
+        )
+
+    @SCORE_SETTINGS
+    @given(any_datasets(), st.integers(2, 6), st.integers(1, 8), METRICS)
+    def test_weak_region_scan(self, datasets, bins, min_rows, metric):
+        (ds,) = datasets
+        args = (ds, ["x", "z"], bins, min_rows, metric)
+        assert outcome_of(weak_region_scan, *args) == outcome_of(ref_weak_region_scan, *args)
+
+    @SCORE_SETTINGS
+    @given(any_datasets(2), st.sampled_from([None, "x"]), EDGES, METRICS)
+    def test_fit_gap(self, datasets, feature, edges, metric):
+        train, test = datasets
+        new = outcome_of(fit_gap, train, test, feature, edges, metric)
+        ref = outcome_of(ref_fit_gap, train, test, feature, edges, metric)
+        if isinstance(ref, tuple) and ref[0] is IndexError:
+            # quantile edges of an all-missing train feature: now a structured error
+            assert train.frame.column("x").observed().size == 0
+            assert new == (SchemaError, "feature 'x' has no observed values")
+        else:
+            assert new == ref
+
+    @SCORE_SETTINGS
+    @given(
+        any_datasets(),
+        st.sampled_from(["rows", "time"]),
+        st.integers(1, 15).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, w))),
+        st.integers(1, 5),
+        METRICS,
+    )
+    def test_sliding_window_eval(self, datasets, mode, window_step, min_rows, metric):
+        (ds,) = datasets
+        window, step = window_step
+        args = (ds, window, step, metric, mode, min_rows)
+        assert outcome_of(sliding_window_eval, *args) == outcome_of(ref_sliding_window_eval, *args)
+
+    @SCORE_SETTINGS
+    @given(st.integers(1, 3).flatmap(any_datasets), EXPLICIT_EDGES, st.integers(1, 5), METRICS)
+    def test_segment_error_tracking(self, batches, edges, min_rows, metric):
+        # labels that print alike (edges closer than the label's digits) are
+        # pooled now, where the reference kept the last such bin's cell
+        labels = segment_by_bins(batches[0].frame, "x", edges).labels
+        assume(len(set(labels)) == len(labels))
+        # the reference checked the metric batch by batch, interleaved with
+        # binning; explicit edges never fail to bin, so the order is not seen
+        args = (batches, "x", edges, metric, min_rows)
+        new = outcome_of(segment_error_tracking, *args)
+        assert new == outcome_of(ref_segment_error_tracking, *args)
+
+
+class TestSegmentScoringRegressions:
+    def test_fit_gap_all_missing_train_feature_is_schema_error(self):
+        train = make_scored(make_frame(x=[nan, nan, nan]), [1.0, 2.0, 3.0], [1.0, 2.5, 2.0])
+        test = make_scored(make_frame(x=[0.0, 1.0, 2.0]), [1.0, 2.0, 3.0], [1.0, 2.5, 2.0])
+        with pytest.raises(SchemaError, match="feature 'x' has no observed values"):
+            fit_gap(train, test, "x", 4)
+
+    def test_empty_time_window_with_zero_min_rows_has_no_value(self):
+        ds = make_scored(
+            make_frame(x=[0.0, 1.0, 2.0, 3.0]),
+            [1.0, 2.0, 3.0, 4.0],
+            [1.5, 2.0, 2.5, 4.0],
+            timestamps=np.array([0.0, 1.0, 8.0, 9.0]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = sliding_window_eval(ds, 3, 3, mode="time", min_rows=0)
+        assert [(p.window_start, p.rows) for p in points] == [(0.0, 2), (3.0, 0), (6.0, 2)]
+        assert [p.value is None for p in points] == [False, True, False]

@@ -33,3 +33,18 @@ def test_row_geometry_only_in_geometry_module():
         if ".std(axis=0)" in line or expansion.search(line)
     ]
     assert found == []
+
+
+def test_segment_scoring_only_in_outcome_module():
+    # metric choice, the per-group rule and quantile edges are written once,
+    # in outcome.py; concept.py reaches them through its shared helpers
+    concept = (PACKAGE / "concept.py").read_text(encoding="utf-8")
+    found = [call for call in ("metric_value(", "check_metric(") if call in concept]
+    found += [
+        f"{path.name}:{lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "outcome.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "np.quantile(" in line and "np.linspace(" in line
+    ]
+    assert found == []
