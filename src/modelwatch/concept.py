@@ -244,6 +244,8 @@ def sliding_window_eval(
     metric = resolve_metric(metric, ds.y_true)
 
     axis = _timestamp_axis(ds.timestamps)
+    if not np.isfinite(axis).all():
+        raise NoTimestamps("timestamps must be finite")
     order = np.argsort(axis, kind="stable")
     axis = axis[order]
 
@@ -260,6 +262,8 @@ def sliding_window_eval(
         step = float(step)
         if window <= 0 or step <= 0:
             raise ValueError("time windows need window > 0 and step > 0")
+        if axis.size == 0:
+            return []  # no rows, no windows, as in rows mode
         t0, t_max = axis[0], axis[-1]
         span_eps = 1e-9 * max(abs(t_max - t0), 1.0)
         starts = [t0]

@@ -31,17 +31,17 @@ from .errors import (
 DEFAULT_MISSING_TOKENS = frozenset({"", "NA", "NaN", "null"})
 
 KINDS = ("numeric", "categorical")
-ROLES = (
-    "feature",
-    "target",
-    "prediction",
-    "prediction_lower",
-    "prediction_upper",
-    "timestamp",
-    "split_tag",
-)
-# Roles that may appear on at most one column each.
-_SINGLETON_ROLES = frozenset(ROLES) - {"feature"}
+# Roles that may appear on at most one column each, with the ScoredDataset
+# field and dtype that carry them (None: numbers or ISO-8601 text as given).
+SCORED_ROLES = {
+    "target": ("y_true", np.float64),
+    "prediction": ("y_pred", np.float64),
+    "prediction_lower": ("y_pred_lower", np.float64),
+    "prediction_upper": ("y_pred_upper", np.float64),
+    "timestamp": ("timestamps", None),
+    "split_tag": ("split_tag", object),
+}
+ROLES = ("feature", *SCORED_ROLES)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -95,18 +95,17 @@ class Schema:
             raise SchemaError(f"duplicate column names: {dupes}")
         seen_roles: dict[str, str] = {}
         for c in columns:
-            if c.role in _SINGLETON_ROLES:
-                if c.role in seen_roles:
-                    raise SchemaError(
-                        f"role {c.role!r} given to both {seen_roles[c.role]!r} and {c.name!r}"
-                    )
-                seen_roles[c.role] = c.name
-            if c.role in ("target", "prediction", "prediction_lower", "prediction_upper"):
-                if c.kind != "numeric":
-                    raise SchemaError(f"column {c.name!r}: role {c.role!r} must be numeric")
-        if "prediction_lower" in seen_roles or "prediction_upper" in seen_roles:
-            if not ("prediction_lower" in seen_roles and "prediction_upper" in seen_roles):
-                raise SchemaError("prediction_lower and prediction_upper must both be present")
+            if c.role == "feature":
+                continue
+            if c.role in seen_roles:
+                raise SchemaError(
+                    f"role {c.role!r} given to both {seen_roles[c.role]!r} and {c.name!r}"
+                )
+            seen_roles[c.role] = c.name
+            if SCORED_ROLES[c.role][1] is np.float64 and c.kind != "numeric":
+                raise SchemaError(f"column {c.name!r}: role {c.role!r} must be numeric")
+        if ("prediction_lower" in seen_roles) != ("prediction_upper" in seen_roles):
+            raise SchemaError("prediction_lower and prediction_upper must both be present")
         self.columns: tuple[ColumnSpec, ...] = tuple(columns)
         self._by_name = {c.name: c for c in self.columns}
         self._by_role = seen_roles
@@ -229,8 +228,7 @@ class CategoricalColumn:
         mask = np.zeros(len(values), dtype=bool)
         for i, v in enumerate(values):
             if v is None:
-                codes[i] = -1
-                mask[i] = True
+                mask[i] = True  # CategoricalColumn stores code -1 there
                 continue
             if v not in index:
                 index[v] = len(labels)
@@ -262,11 +260,10 @@ class FeatureFrame:
         names = [c.name for c in columns]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate column names in frame")
-        n = len(columns[0].values if isinstance(columns[0], NumericColumn) else columns[0].codes)
+        n = len(columns[0].missing_mask)
         for c in columns:
-            length = len(c.values) if isinstance(c, NumericColumn) else len(c.codes)
-            if length != n:
-                raise SchemaError(f"column {c.name!r} has {length} rows, expected {n}")
+            if len(c.missing_mask) != n:
+                raise SchemaError(f"column {c.name!r} has {len(c.missing_mask)} rows, expected {n}")
         self._columns: tuple[Column, ...] = tuple(columns)
         self._by_name = {c.name: c for c in self._columns}
         self._n_rows = n
@@ -353,35 +350,18 @@ class ScoredDataset:
     split_tag: np.ndarray | None = None
 
     def __post_init__(self):
-        n = self.frame.n_rows
-        y_true = _frozen(np.asarray(self.y_true, dtype=np.float64).copy())
-        y_pred = _frozen(np.asarray(self.y_pred, dtype=np.float64).copy())
-        if len(y_true) != n or len(y_pred) != n:
-            raise SchemaError("y_true/y_pred length must equal frame.n_rows")
-        object.__setattr__(self, "y_true", y_true)
-        object.__setattr__(self, "y_pred", y_pred)
-        lower, upper = self.y_pred_lower, self.y_pred_upper
-        if (lower is None) != (upper is None):
+        if (self.y_pred_lower is None) != (self.y_pred_upper is None):
             raise SchemaError("y_pred_lower and y_pred_upper must be given together")
-        if lower is not None:
-            lower = np.asarray(lower, dtype=np.float64).copy()
-            upper = np.asarray(upper, dtype=np.float64).copy()
-            if len(lower) != n or len(upper) != n:
-                raise SchemaError("quantile prediction length must equal frame.n_rows")
-            if np.any(lower > upper):
-                raise SchemaError("y_pred_lower exceeds y_pred_upper on some rows")
-            object.__setattr__(self, "y_pred_lower", _frozen(lower))
-            object.__setattr__(self, "y_pred_upper", _frozen(upper))
-        if self.timestamps is not None:
-            ts = np.asarray(self.timestamps)
-            if len(ts) != n:
-                raise SchemaError("timestamps length must equal frame.n_rows")
-            object.__setattr__(self, "timestamps", _frozen(ts.copy()))
-        if self.split_tag is not None:
-            tags = np.asarray(self.split_tag, dtype=object)
-            if len(tags) != n:
-                raise SchemaError("split_tag length must equal frame.n_rows")
-            object.__setattr__(self, "split_tag", _frozen(tags.copy()))
+        for field, dtype in SCORED_ROLES.values():
+            values = getattr(self, field)
+            if values is None and self.__dataclass_fields__[field].default is None:
+                continue  # an optional role left out
+            values = np.array(values, dtype=dtype)
+            if values.ndim != 1 or len(values) != self.frame.n_rows:
+                raise SchemaError(f"{field} length must equal frame.n_rows")
+            object.__setattr__(self, field, _frozen(values))
+        if self.y_pred_lower is not None and np.any(self.y_pred_lower > self.y_pred_upper):
+            raise SchemaError("y_pred_lower exceeds y_pred_upper on some rows")
 
     @property
     def n_rows(self) -> int:
@@ -392,12 +372,7 @@ class ScoredDataset:
         pick = lambda a: None if a is None else a[idx]
         return ScoredDataset(
             frame=self.frame.take(idx),
-            y_true=self.y_true[idx],
-            y_pred=self.y_pred[idx],
-            y_pred_lower=pick(self.y_pred_lower),
-            y_pred_upper=pick(self.y_pred_upper),
-            timestamps=pick(self.timestamps),
-            split_tag=pick(self.split_tag),
+            **{field: pick(getattr(self, field)) for field, _ in SCORED_ROLES.values()},
         )
 
 
@@ -437,6 +412,16 @@ def _parse_numeric(token: str, row: int, col: str) -> float:
     return value
 
 
+def _timestamp_values(raw: list[str], col: str) -> np.ndarray:
+    """Finite numbers, or ISO-8601 text when any cell is not a number."""
+    try:
+        for token in raw:
+            float(token)
+    except ValueError:
+        return np.array(raw, dtype=object)
+    return np.array([_parse_numeric(token, i, col) for i, token in enumerate(raw)])
+
+
 def load_csv(
     path,
     schema: Schema,
@@ -473,9 +458,7 @@ def load_csv(
         if len(r) < needed:
             raise ShortRow(i, len(header), len(r))
 
-    has_target = schema.role_column("target") is not None
-    has_pred = schema.role_column("prediction") is not None
-    if has_target != has_pred:
+    if (schema.role_column("target") is None) != (schema.role_column("prediction") is None):
         raise SchemaError("schema must carry both target and prediction roles, or neither")
 
     cells: dict[str, list[str]] = {
@@ -490,8 +473,7 @@ def load_csv(
             if token in missing:
                 if not allow_missing:
                     raise TypeParseError(i, spec.name, token)
-                values[i] = np.nan
-                mask[i] = True
+                mask[i] = True  # NumericColumn stores NaN there
             else:
                 values[i] = _parse_numeric(token, i, spec.name)
         return NumericColumn(spec.name, values, mask)
@@ -507,38 +489,21 @@ def load_csv(
             feature_cols.append(CategoricalColumn.from_labels(spec.name, labels))
     frame = FeatureFrame(feature_cols)
 
-    if not has_target:
+    if not schema.is_scored():
         return frame
 
-    def role_values(role: str) -> np.ndarray | None:
+    fields = {}
+    for role, (field, dtype) in SCORED_ROLES.items():
         name = schema.role_column(role)
         if name is None:
-            return None
-        return numeric_column(schema.column(name), allow_missing=False).values
-
-    timestamps = None
-    ts_name = schema.role_column("timestamp")
-    if ts_name is not None:
-        raw = cells[ts_name]
-        try:
-            timestamps = np.array([float(t) for t in raw], dtype=np.float64)
-        except ValueError:
-            timestamps = np.array(raw, dtype=object)
-
-    split_tag = None
-    tag_name = schema.role_column("split_tag")
-    if tag_name is not None:
-        split_tag = np.array(cells[tag_name], dtype=object)
-
-    return ScoredDataset(
-        frame=frame,
-        y_true=role_values("target"),
-        y_pred=role_values("prediction"),
-        y_pred_lower=role_values("prediction_lower"),
-        y_pred_upper=role_values("prediction_upper"),
-        timestamps=timestamps,
-        split_tag=split_tag,
-    )
+            continue
+        if dtype is np.float64:
+            fields[field] = numeric_column(schema.column(name), allow_missing=False).values
+        elif dtype is object:
+            fields[field] = np.array(cells[name], dtype=object)
+        else:
+            fields[field] = _timestamp_values(cells[name], name)
+    return ScoredDataset(frame=frame, **fields)
 
 
 def _format_float(v: float) -> str:
@@ -569,15 +534,7 @@ def write_csv(obj: FeatureFrame | ScoredDataset, path, schema: Schema) -> None:
             return feature_cells(frame.column(spec.name))
         if not isinstance(obj, ScoredDataset):
             raise SchemaError(f"schema role {spec.role!r} requires a ScoredDataset")
-        arrays = {
-            "target": obj.y_true,
-            "prediction": obj.y_pred,
-            "prediction_lower": obj.y_pred_lower,
-            "prediction_upper": obj.y_pred_upper,
-            "timestamp": obj.timestamps,
-            "split_tag": obj.split_tag,
-        }
-        arr = arrays[spec.role]
+        arr = getattr(obj, SCORED_ROLES[spec.role][0])
         if arr is None:
             raise SchemaError(f"dataset has no values for role {spec.role!r}")
         if arr.dtype == object:

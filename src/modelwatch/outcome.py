@@ -201,18 +201,21 @@ def _lift(value: float | None, overall: float | None) -> tuple[float | None, boo
 # ---------------------------------------------------------------------------
 
 
-def _format_edge(v: float) -> str:
-    return f"{v:g}"
+def _format_edges(edges: np.ndarray) -> list[str]:
+    """Edges with the fewest significant digits, from 6 (as ``:g``) up to
+    17, that keep distinct edge values distinct."""
+    values = edges.tolist()
+    distinct = set(values)
+    for digits in range(6, 18):
+        if len({f"{v:.{digits}g}" for v in distinct}) == len(distinct):
+            break
+    return [f"{v:.{digits}g}" for v in values]
 
 
 def _bin_labels(feature: str, edges: np.ndarray) -> list[str]:
-    labels = []
-    for i in range(len(edges) - 1):
-        close = "]" if i == len(edges) - 2 else ")"
-        labels.append(
-            f"{feature} in [{_format_edge(edges[i])}, {_format_edge(edges[i + 1])}{close}"
-        )
-    return labels
+    text = _format_edges(edges)
+    closes = [")"] * (len(edges) - 2) + ["]"]
+    return [f"{feature} in [{lo}, {hi}{close}" for lo, hi, close in zip(text, text[1:], closes)]
 
 
 def _numeric_feature(frame: FeatureFrame, feature: str) -> NumericColumn:
@@ -275,7 +278,7 @@ def segment_by_bins(
 
     n_bins = max(len(edge_arr) - 1, 1)
     if edge_arr[0] == edge_arr[-1]:
-        labels = [f"{feature} in [{_format_edge(edge_arr[0])}, {_format_edge(edge_arr[-1])}]"]
+        labels = _bin_labels(feature, edge_arr[[0, -1]])
         ids = np.zeros(frame.n_rows, dtype=np.int64)
         in_range = col.values == edge_arr[0]
     else:

@@ -25,7 +25,7 @@ from . import conformal as cp
 from . import outcome, quality
 from .concept import classify_drift
 from .config import MonitorConfig
-from .data import FeatureFrame, NumericColumn, ScoredDataset, load_csv
+from .data import SCORED_ROLES, FeatureFrame, NumericColumn, ScoredDataset, load_csv
 from .errors import ConfigError
 from .external import ExternalModel
 from .shift import METRICS, apply_thresholds, drift_scan
@@ -89,11 +89,10 @@ def fingerprint_dataset(obj: FeatureFrame | ScoredDataset) -> dict:
                 [b"cat", col.codes.tobytes(), "\x1f".join(col.labels).encode(), col.missing_mask.tobytes()]
             )
     if isinstance(obj, ScoredDataset):
-        columns["y_true"] = _column_hash([obj.y_true.tobytes()])
-        columns["y_pred"] = _column_hash([obj.y_pred.tobytes()])
-        if obj.y_pred_lower is not None:
-            columns["y_pred_lower"] = _column_hash([obj.y_pred_lower.tobytes()])
-            columns["y_pred_upper"] = _column_hash([obj.y_pred_upper.tobytes()])
+        for field, dtype in SCORED_ROLES.values():
+            values = getattr(obj, field)
+            if dtype is np.float64 and values is not None:
+                columns[field] = _column_hash([values.tobytes()])
         if obj.timestamps is not None:
             ts = obj.timestamps
             raw = ts.tobytes() if ts.dtype != object else "\x1f".join(map(str, ts)).encode()

@@ -175,21 +175,16 @@ def make_frequency_pair(
     """
     if len(x_labels) == 0 or len(y_labels) == 0:
         raise EmptySample("frequency pair needs nonempty samples")
-    categories: list[str] = []
-    index: dict[str, int] = {}
-    for lbl in list(x_labels) + list(y_labels):
-        if lbl not in index:
-            index[lbl] = len(categories)
-            categories.append(lbl)
+    categories = tuple(dict.fromkeys([*x_labels, *y_labels]))
+    index = {lbl: i for i, lbl in enumerate(categories)}
 
     def pmf(sample: Sequence[str]) -> np.ndarray:
-        counts = np.zeros(len(categories))
-        for lbl in sample:
-            counts[index[lbl]] += 1
+        codes = np.fromiter((index[lbl] for lbl in sample), dtype=np.intp, count=len(sample))
+        counts = np.bincount(codes, minlength=len(categories))
         return _smoothed_pmf(counts, len(sample), epsilon)
 
     edges = np.arange(len(categories) + 1, dtype=np.float64)
-    return HistogramPair(edges, pmf(x_labels), pmf(y_labels), epsilon, tuple(categories))
+    return HistogramPair(edges, pmf(x_labels), pmf(y_labels), epsilon, categories)
 
 
 def kl_divergence(h: HistogramPair) -> float:

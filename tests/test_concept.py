@@ -191,6 +191,19 @@ class TestSlidingWindow:
             timestamps=np.arange(n, dtype=float) if ts is None else ts,
         )
 
+    @pytest.mark.parametrize("mode", ["rows", "time"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_timestamp_rejected(self, mode, bad):
+        # with an infinite end the time mode would never find its last window
+        ds = self.make_ts([1.0, 2.0, 3.0], ts=np.array([0.0, 1.0, bad]))
+        with pytest.raises(NoTimestamps, match="timestamps must be finite"):
+            sliding_window_eval(ds, 1, 1, metric="mae", mode=mode)
+
+    def test_empty_dataset_has_no_windows_in_either_mode(self):
+        ds = self.make_ts([], ts=np.array([]))
+        assert sliding_window_eval(ds, 1, 1, metric="mae", mode="rows") == []
+        assert sliding_window_eval(ds, 1.0, 1.0, metric="mae", mode="time") == []
+
     def test_constant_residuals_flat_series(self):
         ds = self.make_ts([2.0] * 120)
         points = sliding_window_eval(ds, window=40, step=40, metric="mae", mode="rows")

@@ -1,10 +1,19 @@
+import csv
+import tempfile
+from datetime import date
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from modelwatch.data import (
+    SCORED_ROLES,
     ColumnSpec,
     FeatureFrame,
     NumericColumn,
+    ROLES,
     Schema,
     ScoredDataset,
     load_csv,
@@ -102,6 +111,22 @@ class TestLoadCsv:
             load_csv(path, simple_schema())
         assert (exc.value.row, exc.value.column, exc.value.token) == (1, column, token)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity", "1e400"])
+    def test_non_finite_timestamp_is_parse_error(self, tmp_path, token):
+        # a time axis with an infinite end has no last window
+        schema = Schema([*simple_schema(), ColumnSpec("t", "numeric", role="timestamp")])
+        path = write(tmp_path, f"x0,x1,y,pred,t\n1,2,3,2.5,10\n4,5,6,6.5,{token}\n")
+        with pytest.raises(TypeParseError) as exc:
+            load_csv(path, schema)
+        assert (exc.value.row, exc.value.column, exc.value.token) == (1, "t", token)
+
+    def test_timestamp_column_with_a_non_number_loads_as_text(self, tmp_path):
+        schema = Schema([*simple_schema(), ColumnSpec("t", "categorical", role="timestamp")])
+        path = write(tmp_path, "x0,x1,y,pred,t\n1,2,3,2.5,inf\n4,5,6,6.5,2024-01-01\n")
+        ds = load_csv(path, schema)
+        assert ds.timestamps.dtype == object
+        assert ds.timestamps.tolist() == ["inf", "2024-01-01"]
+
     def test_short_row_is_structured_error(self, tmp_path):
         path = write(tmp_path, "age,grade\n30,A\n40\n")
         with pytest.raises(ShortRow) as exc:
@@ -175,6 +200,150 @@ class TestRoundTrip:
         again = load_csv(path, schema)
         np.testing.assert_array_equal(ds.y_true, again.y_true)
         np.testing.assert_array_equal(ds.y_pred, again.y_pred)
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+TAGS = st.sampled_from(["train", "test", "hold out", ""])
+ISO_DATES = st.dates().map(date.isoformat)
+
+
+@st.composite
+def role_datasets(draw):
+    """A scored dataset with each optional role present or absent; its
+    timestamps are numbers or ISO-8601 dates."""
+    n = draw(st.integers(0, 12))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    kwargs = {}
+    if draw(st.booleans()):
+        lower = np.array(column(FINITE))
+        kwargs["y_pred_lower"] = lower
+        kwargs["y_pred_upper"] = lower + np.abs(column(FINITE))
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            kwargs["timestamps"] = np.array(column(FINITE))
+        else:
+            kwargs["timestamps"] = np.array(column(ISO_DATES), dtype=object)
+    if draw(st.booleans()):
+        kwargs["split_tag"] = np.array(column(TAGS), dtype=object)
+    frame = make_frame(x0=np.arange(n, dtype=float))
+    return make_scored(frame, column(FINITE), column(FINITE), **kwargs)
+
+
+def role_schema(ds: ScoredDataset) -> Schema:
+    cols = [ColumnSpec("x0", "numeric")]
+    for role, (field, dtype) in SCORED_ROLES.items():
+        values = getattr(ds, field)
+        if values is not None:
+            kind = "numeric" if values.dtype == np.float64 else "categorical"
+            cols.append(ColumnSpec(f"c_{role}", kind, role=role))
+    return Schema(cols)
+
+
+def role_by_role_loaded_fields(path, schema: Schema) -> dict:
+    """The scored fields as load_csv built them role by role before
+    SCORED_ROLES: float targets, predictions and bounds, numeric-or-text
+    timestamps, object split tags."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+
+    def cells(role):
+        name = schema.role_column(role)
+        return None if name is None else [r[name] for r in rows]
+
+    def numbers(role):
+        raw = cells(role)
+        return None if raw is None else np.array([float(t) for t in raw], dtype=np.float64)
+
+    timestamps = cells("timestamp")
+    if timestamps is not None:
+        try:
+            timestamps = np.array([float(t) for t in timestamps], dtype=np.float64)
+        except ValueError:
+            timestamps = np.array(timestamps, dtype=object)
+    split_tag = cells("split_tag")
+    return {
+        "y_true": numbers("target"),
+        "y_pred": numbers("prediction"),
+        "y_pred_lower": numbers("prediction_lower"),
+        "y_pred_upper": numbers("prediction_upper"),
+        "timestamps": timestamps,
+        "split_tag": None if split_tag is None else np.array(split_tag, dtype=object),
+    }
+
+
+def role_by_role_taken_fields(ds: ScoredDataset, idx) -> dict:
+    """The scored fields as ScoredDataset.take picked them field by field
+    before SCORED_ROLES."""
+    idx = np.asarray(idx)
+    idx = np.nonzero(idx)[0] if idx.dtype == bool else idx.astype(np.intp, copy=False)
+    pick = lambda a: None if a is None else a[idx]
+    return {
+        "y_true": ds.y_true[idx],
+        "y_pred": ds.y_pred[idx],
+        "y_pred_lower": pick(ds.y_pred_lower),
+        "y_pred_upper": pick(ds.y_pred_upper),
+        "timestamps": pick(ds.timestamps),
+        "split_tag": pick(ds.split_tag),
+    }
+
+
+def assert_scored_fields(ds: ScoredDataset, expected: dict) -> None:
+    for field, _ in SCORED_ROLES.values():
+        got, want = getattr(ds, field), expected[field]
+        if want is None:
+            assert got is None, field
+        else:
+            assert got.dtype == want.dtype, field
+            np.testing.assert_array_equal(got, want, err_msg=field)
+
+
+class TestScoredRoles:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(role_datasets(), st.data())
+    def test_round_trip_and_take_match_role_by_role_code(self, ds, data):
+        schema = role_schema(ds)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ds.csv"
+            write_csv(ds, path, schema)
+            assert_scored_fields(load_csv(path, schema), role_by_role_loaded_fields(path, schema))
+        n = ds.n_rows
+        idx = data.draw(
+            st.one_of(
+                st.lists(st.integers(0, n - 1), max_size=2 * n) if n else st.just([]),
+                st.lists(st.booleans(), min_size=n, max_size=n),
+            )
+        )
+        assert_scored_fields(ds.take(idx), role_by_role_taken_fields(ds, idx))
+
+    @pytest.mark.parametrize("field", [field for field, _ in SCORED_ROLES.values()])
+    def test_length_mismatch_names_the_field(self, field):
+        fields = {name: np.zeros(3) for name, _ in SCORED_ROLES.values()}
+        fields[field] = np.zeros(4)
+        with pytest.raises(SchemaError, match=f"^{field} length must equal frame.n_rows$"):
+            ScoredDataset(make_frame(x0=[1.0, 2.0, 3.0]), **fields)
+
+    @pytest.mark.parametrize("values", [None, np.zeros((2, 1))])
+    @pytest.mark.parametrize("field", ["y_true", "y_pred"])
+    def test_required_field_none_or_not_1d_is_schema_error(self, field, values):
+        fields = {"y_true": np.zeros(2), "y_pred": np.zeros(2), field: values}
+        with pytest.raises(SchemaError, match=f"^{field} length"):
+            ScoredDataset(make_frame(x0=[1.0, 2.0]), **fields)
+
+    def test_every_scored_role_is_a_schema_role_on_one_column(self):
+        assert ROLES == ("feature", *SCORED_ROLES)
+        for role in SCORED_ROLES:
+            with pytest.raises(SchemaError, match="given to both"):
+                Schema([ColumnSpec("a", "numeric", role=role), ColumnSpec("b", "numeric", role=role)])
+
+    @pytest.mark.parametrize(
+        "role", [role for role, (_, dtype) in SCORED_ROLES.items() if dtype is np.float64]
+    )
+    def test_float_roles_must_be_numeric(self, role):
+        with pytest.raises(SchemaError, match="must be numeric"):
+            Schema([ColumnSpec("a", "categorical", role=role)])
 
 
 class TestSplit:

@@ -691,7 +691,27 @@ class TestSegmentScoringMatchesReference:
         assert new == outcome_of(ref_segment_error_tracking, *args)
 
 
+CLOSE_EDGES = [0, 1.0000001, 1.0000002, 1.0000003, 2]  # alike at 6 significant digits
+
+
 class TestSegmentScoringRegressions:
+    def test_close_edges_get_distinct_labels(self):
+        seg = segment_by_bins(make_frame(x=[0.5, 1.00000015, 1.00000025, 1.5]), "x", CLOSE_EDGES)
+        assert seg.labels == (
+            "x in [0, 1.0000001)",
+            "x in [1.0000001, 1.0000002)",
+            "x in [1.0000002, 1.0000003)",
+            "x in [1.0000003, 2]",
+        )
+        assert seg.segment_ids.tolist() == [0, 1, 2, 3]
+
+    def test_fit_gap_keeps_close_edge_bins_apart(self):
+        frame = make_frame(x=[0.5, 1.00000015, 1.00000025, 1.5])
+        ds = make_scored(frame, [1.0, 2.0, 3.0, 4.0], [1.5, 2.0, 2.5, 4.0])
+        table = fit_gap(ds, ds, "x", CLOSE_EDGES)
+        assert len({row.label for row in table.rows}) == 4
+        assert [(row.train_rows, row.test_rows) for row in table.rows] == [(1, 1)] * 4
+
     def test_fit_gap_all_missing_train_feature_is_schema_error(self):
         train = make_scored(make_frame(x=[nan, nan, nan]), [1.0, 2.0, 3.0], [1.0, 2.5, 2.0])
         test = make_scored(make_frame(x=[0.0, 1.0, 2.0]), [1.0, 2.0, 3.0], [1.0, 2.5, 2.0])

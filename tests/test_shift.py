@@ -1,10 +1,17 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelwatch.data import CategoricalColumn, FeatureFrame, NumericColumn
 from modelwatch.errors import DimensionMismatch, EmptySample
 from modelwatch.shift import (
+    DEFAULT_EPSILON,
     DriftScanConfig,
+    HistogramPair,
+    _smoothed_pmf,
     apply_thresholds,
     drift_scan,
     energy_distance,
@@ -445,6 +452,52 @@ class TestFrequencyPair:
         expected = 0.5 * sum(abs(p - q) for p, q in zip(h.p, h.q))
         assert tvd(h) == pytest.approx(expected, abs=1e-12)
         assert tvd(h) >= 0.29
+
+
+def loop_frequency_pair(
+    x_labels: Sequence[str],
+    y_labels: Sequence[str],
+    epsilon: float = DEFAULT_EPSILON,
+) -> HistogramPair:
+    """make_frequency_pair as written before it counted codes: a dict
+    lookup and a float increment per label."""
+    if len(x_labels) == 0 or len(y_labels) == 0:
+        raise EmptySample("frequency pair needs nonempty samples")
+    categories: list[str] = []
+    index: dict[str, int] = {}
+    for lbl in list(x_labels) + list(y_labels):
+        if lbl not in index:
+            index[lbl] = len(categories)
+            categories.append(lbl)
+
+    def pmf(sample: Sequence[str]) -> np.ndarray:
+        counts = np.zeros(len(categories))
+        for lbl in sample:
+            counts[index[lbl]] += 1
+        return _smoothed_pmf(counts, len(sample), epsilon)
+
+    edges = np.arange(len(categories) + 1, dtype=np.float64)
+    return HistogramPair(edges, pmf(x_labels), pmf(y_labels), epsilon, tuple(categories))
+
+
+LABEL_SAMPLES = st.lists(st.sampled_from(["a", "b", "c", "d", "", "a b"]) | st.text(max_size=2), max_size=40)
+
+
+class TestFrequencyPairMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(LABEL_SAMPLES, LABEL_SAMPLES, st.sampled_from([DEFAULT_EPSILON, 1e-3, 0.5]))
+    def test_same_categories_and_pmf_bits(self, x, y, epsilon):
+        try:
+            expected = loop_frequency_pair(x, y, epsilon)
+        except EmptySample:
+            with pytest.raises(EmptySample):
+                make_frequency_pair(x, y, epsilon)
+            return
+        got = make_frequency_pair(x, y, epsilon)
+        assert got.categories == expected.categories
+        assert np.array_equal(got.bin_edges, expected.bin_edges)
+        assert np.array_equal(got.p, expected.p)
+        assert np.array_equal(got.q, expected.q)
 
 
 def two_col_scored(rng, n=400, shift=0.0, shifted_feature=None):

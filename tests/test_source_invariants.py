@@ -48,3 +48,17 @@ def test_segment_scoring_only_in_outcome_module():
         if "np.quantile(" in line and "np.linspace(" in line
     ]
     assert found == []
+
+
+def test_scored_role_fields_only_in_data_module():
+    # the role-to-field mapping is written once, as data.SCORED_ROLES; a
+    # module that names a role or field as a string keeps a second copy
+    literals = [f"{q}{word}{q}" for word in ("prediction_lower", "y_pred_lower") for q in "\"'"]
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "data.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if any(literal in line for literal in literals)
+    ]
+    assert found == []
