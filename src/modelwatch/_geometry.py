@@ -1,6 +1,11 @@
 """Row geometry: the complete-matrix check, z-standardisation, squared
 distances, nearest rows and the PCA basis.
 
+``nearest`` scans the query rows in blocks of about ``_BLOCK_CELLS``
+distances and keeps the k best columns of each (argmin for k = 1, a stable
+argsort otherwise), so its memory is O(block x len(Zd)), never the
+len(Zq) x len(Zd) matrix; ties go to the lower Zd index.
+
 Kept with their callers on purpose: LOF's exact difference-form distances
 (the expansion here leaves up to ~6e-8 on duplicate rows of discrete data,
 which moves LOF scores), ``shift.mahalanobis``'s unfloored ridge and
@@ -43,14 +48,44 @@ def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
+_BLOCK_CELLS = 1 << 20  # distances per query block: 8 MB of float64
+
+
 def nearest(Zq: np.ndarray, Zd: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and Euclidean distances of the k nearest rows of Zd for each
-    row of Zq, nearest first; ties go to the lower Zd index."""
-    dist = sq_dists(Zq, Zd)
-    np.sqrt(dist, out=dist)
-    # a copy: a view would keep the whole len(Zq) x len(Zd) order alive
-    indices = np.argsort(dist, axis=1, kind="stable")[:, :k].copy()
-    return indices, np.take_along_axis(dist, indices, axis=1)
+    row of Zq, nearest first; ties go to the lower Zd index.
+
+    Query rows are taken in blocks of ``_BLOCK_CELLS // len(Zd)`` rows, at
+    least 2, so memory is O(block x len(Zd)); an input of at most
+    ``_BLOCK_CELLS`` distances is one block. A one-row remainder joins the
+    block before it, since a one-row product takes the BLAS matrix-vector
+    path. k = 1 takes the first minimum; k > 1 a stable argsort of the block.
+
+    Bits: a block's distances equal the one-product kernel's only where the
+    BLAS gives a cell the same bits whatever rows share its call. OpenBLAS
+    0.3.31 on x86-64 does when len(Zd) is a multiple of its kernel width, 8;
+    otherwise, beyond one block, the last len(Zd) % 8 columns can differ in
+    the last bit (as they do with the BLAS thread count), which can change
+    a reported distance and the pick between two rows that tie to rounding.
+    """
+    n = len(Zq)
+    step = max(2, _BLOCK_CELLS // max(len(Zd), 1))
+    bounds = [*range(0, max(n - 1, 1), step), n]
+    indices = np.empty((n, k), dtype=np.intp)
+    distances = np.empty((n, k))
+    for start, stop in zip(bounds, bounds[1:]):
+        dist = sq_dists(Zq[start:stop], Zd)
+        np.sqrt(dist, out=dist)
+        if k == 1:
+            top = dist.argmin(axis=1)[:, None]  # the first minimum: the lower index
+            # argmin stops at a NaN, which a stable argsort puts last
+            for row in np.flatnonzero(np.isnan(np.take_along_axis(dist, top, axis=1)[:, 0])):
+                top[row] = np.argsort(dist[row], kind="stable")[:1]
+        else:
+            top = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        indices[start:stop] = top
+        distances[start:stop] = np.take_along_axis(dist, top, axis=1)
+    return indices, distances
 
 
 @dataclass(frozen=True)

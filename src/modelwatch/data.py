@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -357,6 +358,8 @@ class ScoredDataset:
             if values is None and self.__dataclass_fields__[field].default is None:
                 continue  # an optional role left out
             values = np.array(values, dtype=dtype)
+            if values.dtype.kind == "U":  # text timestamps are kept as str objects
+                values = values.astype(object)
             if values.ndim != 1 or len(values) != self.frame.n_rows:
                 raise SchemaError(f"{field} length must equal frame.n_rows")
             object.__setattr__(self, field, _frozen(values))
@@ -467,15 +470,23 @@ def load_csv(
 
     def numeric_column(spec: ColumnSpec, allow_missing: bool) -> NumericColumn:
         raw = cells[spec.name]
-        values = np.empty(len(raw), dtype=np.float64)
-        mask = np.zeros(len(raw), dtype=bool)
-        for i, token in enumerate(raw):
-            if token in missing:
-                if not allow_missing:
-                    raise TypeParseError(i, spec.name, token)
-                mask[i] = True  # NumericColumn stores NaN there
-            else:
-                values[i] = _parse_numeric(token, i, spec.name)
+        mask = np.fromiter(map(missing.__contains__, raw), bool, len(raw))
+        present = ~mask
+        values = np.zeros(len(raw))  # NumericColumn stores NaN where mask is set
+        try:
+            values[present] = np.fromiter(
+                map(float, compress(raw, present.tolist())), np.float64, np.count_nonzero(present)
+            )
+            parsed = (allow_missing or not mask.any()) and np.isfinite(values).all()
+        except ValueError:
+            parsed = False
+        if not parsed:  # the per-cell loop names the first bad cell
+            for i, token in enumerate(raw):
+                if token in missing:
+                    if not allow_missing:
+                        raise TypeParseError(i, spec.name, token)
+                else:
+                    values[i] = _parse_numeric(token, i, spec.name)
         return NumericColumn(spec.name, values, mask)
 
     feature_cols: list[Column] = []

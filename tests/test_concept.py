@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from modelwatch.concept import (
     sliding_window_eval,
 )
 from modelwatch.data import Residuals
-from modelwatch.errors import EmptyDevSet, LengthMismatch, NoTimestamps, SchemaMismatch
+from modelwatch.config import parse_config
+from modelwatch.errors import EmptyDevSet, LengthMismatch, NoTimestamps, SchemaError, SchemaMismatch
+from modelwatch.report import run_stage
 from modelwatch.shift import DriftScanConfig
 
-from conftest import make_frame, make_scored
+from conftest import make_frame, make_scored, write_pipeline_fixture
 
 
 def cvm_rank_oracle(x, y):
@@ -37,6 +40,30 @@ def cvm_rank_oracle(x, y):
     s = np.sort(ranks[n:])
     u = n * np.sum((r - np.arange(1, n + 1)) ** 2) + m * np.sum((s - np.arange(1, m + 1)) ** 2)
     return u / (n * m * big_n) - (4 * m * n - 1) / (6 * big_n)
+
+
+class TestNoNumericFeatures:
+    # with no numeric column every distance is 0, every new row matched
+    # reference row 0 and the residual KS called concept drift (p ~ 1e-118)
+    @staticmethod
+    def categorical_only(seed):
+        rng = np.random.default_rng(seed)
+        frame = make_frame(grade=list(rng.choice(["a", "b", "c"], size=500)))
+        return make_scored(frame, rng.normal(size=500), rng.normal(size=500))
+
+    def test_nn_match_refuses(self):
+        reference, current = self.categorical_only(1), self.categorical_only(2)
+        with pytest.raises(SchemaError, match="^matching needs at least one numeric feature$"):
+            nn_match(current.frame, reference.frame)
+
+    def test_concept_section_is_an_error(self, tmp_path):
+        cfg = parse_config(write_pipeline_fixture(tmp_path, shift=0.0))
+        datasets = {"reference": self.categorical_only(1), "current": self.categorical_only(2)}
+        data = SimpleNamespace(scored=datasets.__getitem__, drift_results=None)
+        assert run_stage("concept_drift", cfg, data) == {
+            "status": "error",
+            "error": "SchemaError: matching needs at least one numeric feature",
+        }
 
 
 class TestNnMatch:
@@ -245,6 +272,17 @@ class TestSlidingWindow:
         points = sliding_window_eval(ds, window=29 * day, step=29 * day, metric="mae", mode="time", min_rows=5)
         assert len(points) == 1
         assert points[0].value == 1.0
+
+    def test_iso_timestamps_from_a_list_of_str(self):
+        # a plain list of ISO dates used to be stored as a '<U10' array
+        ts = [f"2024-01-{d:02d}" for d in range(1, 31)]
+        ds = make_scored(make_frame(x=np.zeros(30)), np.ones(30), np.zeros(30), timestamps=ts)
+        assert ds.timestamps.dtype == object
+        day = 86400.0
+        points = sliding_window_eval(ds, window=29 * day, step=29 * day, metric="mae", mode="time", min_rows=5)
+        assert [(p.rows, p.value) for p in points] == [(30, 1.0)]
+        rows = sliding_window_eval(ds, window=10, step=10, metric="mae", mode="rows", min_rows=1)
+        assert [p.window_start for p in rows] == ["2024-01-01", "2024-01-11", "2024-01-21"]
 
     @pytest.mark.parametrize("zone", ["UTC", "America/New_York"])
     def test_naive_iso_timestamps_read_as_utc(self, zone, monkeypatch):

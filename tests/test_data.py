@@ -1,4 +1,5 @@
 import csv
+import math
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modelwatch.data import (
+    DEFAULT_MISSING_TOKENS,
     SCORED_ROLES,
     ColumnSpec,
     FeatureFrame,
@@ -200,6 +202,18 @@ class TestRoundTrip:
         again = load_csv(path, schema)
         np.testing.assert_array_equal(ds.y_true, again.y_true)
         np.testing.assert_array_equal(ds.y_pred, again.y_pred)
+
+    def test_str_timestamps_round_trip(self, tmp_path):
+        # a plain list of ISO dates used to be stored as a '<U10' array,
+        # which write_csv tried to format as floats
+        ts = ["2024-01-01", "2024-01-02", "2024-01-03"]
+        ds = make_scored(make_frame(x0=[1.0, 2.0, 3.0]), [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], timestamps=ts)
+        schema = Schema([*simple_schema(1), ColumnSpec("t", "categorical", role="timestamp")])
+        path = tmp_path / "ts.csv"
+        write_csv(ds, path, schema)
+        again = load_csv(path, schema)
+        assert again.timestamps.dtype == object
+        assert again.timestamps.tolist() == ts
 
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False)
@@ -420,3 +434,62 @@ class TestImmutability:
         frame = make_frame(x0=[1.0])
         with pytest.raises(SchemaError):
             ScoredDataset(frame, [1.0], [1.0], y_pred_lower=[2.0], y_pred_upper=[1.0])
+
+
+def per_cell_numeric(raw: list[str], column: str, allow_missing: bool):
+    """The per-cell numeric parse load_csv used before its vectorised pass:
+    values (NaN where missing) and the missing mask, or the first bad cell."""
+    values = np.full(len(raw), np.nan)
+    mask = np.zeros(len(raw), dtype=bool)
+    for i, token in enumerate(raw):
+        if token in DEFAULT_MISSING_TOKENS:
+            if not allow_missing:
+                raise TypeParseError(i, column, token)
+            mask[i] = True
+            continue
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise TypeParseError(i, column, token)
+        values[i] = value
+    return values, mask
+
+
+NUMERIC_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(
+        ["", "NA", "NaN", "null", "nan", "inf", "-Infinity", "1e400", "abc", " 2.5", "1_000", "0x10", "+.5e-3"]
+    ),
+)
+
+
+class TestNumericParse:
+    @settings(max_examples=200, deadline=None)
+    @given(tokens=st.lists(NUMERIC_TOKENS, min_size=1, max_size=30), scored=st.booleans())
+    def test_matches_the_per_cell_loop(self, tokens, scored):
+        # as a feature a missing cell is allowed; as a target it is an error
+        rows = [{"x0": "0", "y": t, "pred": "0"} if scored else {"x0": t} for t in tokens]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "parse.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+            schema = simple_schema(1) if scored else Schema([ColumnSpec("x0", "numeric")])
+            try:
+                expected = per_cell_numeric(tokens, "y" if scored else "x0", allow_missing=not scored)
+            except TypeParseError as exc:
+                with pytest.raises(TypeParseError) as got:
+                    load_csv(path, schema)
+                assert (got.value.row, got.value.column, got.value.token) == (exc.row, exc.column, exc.token)
+                return
+            loaded = load_csv(path, schema)
+        if scored:
+            np.testing.assert_array_equal(loaded.y_true, expected[0])
+        else:
+            column = loaded.column("x0")
+            np.testing.assert_array_equal(column.values, expected[0])
+            np.testing.assert_array_equal(column.missing_mask, expected[1])

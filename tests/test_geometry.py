@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from modelwatch import _geometry
 from modelwatch._geometry import complete_matrix, nearest, sq_dists, standardize
 from modelwatch.errors import SchemaError
 
@@ -20,6 +25,110 @@ class TestNearest:
         indices, distances = nearest(Zq, Zd, k)
         np.testing.assert_array_equal(indices, expected)
         np.testing.assert_array_equal(distances, np.take_along_axis(exact, expected, axis=1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        block_rows=st.integers(2, 6),
+        full_blocks=st.integers(0, 4),
+        remainder=st.integers(0, 5),
+        m=st.integers(1, 12),
+        d=st.integers(1, 4),
+        k=st.sampled_from([1, 2, 5, "m"]),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_equals_one_block_and_stable_argsort(
+        self, block_rows, full_blocks, remainder, m, d, k, ties, seed
+    ):
+        # no full block (n < block), an exact multiple, or a ragged last block
+        n = full_blocks * block_rows + remainder % block_rows
+        k = m if k == "m" else k
+        assume(n >= 1 and k <= m)
+        rng = np.random.default_rng(seed)
+        if ties:
+            Zq, Zd = (rng.integers(-2, 3, size=(rows, d)).astype(float) for rows in (n, m))
+        else:
+            # continuous values on a 2**-12 grid: every product and sum in the
+            # distance is exact, so any BLAS call shape gives the same bits
+            Zq, Zd = (rng.integers(-(2**15), 2**15, size=(rows, d)) / 2.0**12 for rows in (n, m))
+        one_block = nearest(Zq, Zd, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_geometry, "_BLOCK_CELLS", block_rows * m)
+            blocked = nearest(Zq, Zd, k)
+        expected_indices, expected_distances = dense_nearest(Zq, Zd, k)
+        for indices, distances in (one_block, blocked):
+            np.testing.assert_array_equal(indices, expected_indices)
+            np.testing.assert_array_equal(distances, expected_distances)
+
+    def test_nan_distances_come_last_as_in_a_stable_argsort(self):
+        # an infinite coordinate gives NaN and inf distances in one row;
+        # argmin alone would pick the first NaN
+        Zq = np.array([[np.inf, 0.0], [0.0, 0.0]])
+        Zd = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            for k in (1, 2, 3):
+                indices, distances = nearest(Zq, Zd, k)
+                expected_indices, expected_distances = dense_nearest(Zq, Zd, k)
+                np.testing.assert_array_equal(indices, expected_indices)
+                np.testing.assert_array_equal(distances, expected_distances)
+            assert nearest(Zq, Zd, 1)[0].tolist() == [[2], [0]]
+
+    @pytest.mark.parametrize("m", [2000, 1500])
+    @pytest.mark.parametrize("n", [1201, 1049])
+    @pytest.mark.parametrize("k", [1, 3, 1500])
+    def test_blocks_agree_with_the_dense_kernel_to_rounding(self, m, n, k):
+        # 2000 reference rows give 524-row blocks: 1201 rows end in a ragged
+        # block, 1049 in a one-row remainder that joins the block before it;
+        # 1500 rows (not a multiple of 8) give 699-row blocks. Beyond one
+        # block the BLAS may round a cell differently from the one-product
+        # kernel, so what may differ is pinned: distances to rounding, and a
+        # pick only between rows whose distances tie to rounding.
+        rng = np.random.default_rng(n)
+        Zq = rng.normal(size=(n, 24))
+        Zd = rng.normal(size=(m, 24))
+        indices, distances = nearest(Zq, Zd, k)
+        _, expected_distances = dense_nearest(Zq, Zd, k)
+        np.testing.assert_allclose(distances, expected_distances, rtol=0, atol=1e-9)
+        dense = np.sqrt(sq_dists(Zq, Zd))
+        np.testing.assert_allclose(
+            np.take_along_axis(dense, indices, axis=1), expected_distances, rtol=0, atol=1e-9
+        )
+
+    @pytest.mark.parametrize("block_cells", [1, 30, 60])
+    @pytest.mark.parametrize("n", [2, 7, 13])
+    def test_no_block_has_one_row(self, block_cells, n, monkeypatch):
+        # a one-row product takes the BLAS matrix-vector path, whose bits
+        # differ from the matrix-matrix path a larger block takes
+        rows = []
+
+        def recording(A, B):
+            rows.append(len(A))
+            return sq_dists(A, B)
+
+        monkeypatch.setattr(_geometry, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(_geometry, "sq_dists", recording)
+        rng = np.random.default_rng(n)
+        nearest(rng.normal(size=(n, 2)), rng.normal(size=(10, 2)), 1)
+        assert sum(rows) == n and min(rows) >= 2
+
+    def test_memory_stays_at_one_block(self):
+        rng = np.random.default_rng(0)
+        Zq = rng.normal(size=(4000, 10))
+        Zd = rng.normal(size=(4000, 10))
+        tracemalloc.start()
+        try:
+            nearest(Zq, Zd, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20  # the dense 4000 x 4000 matrix alone is 128 MB
+
+
+def dense_nearest(Zq, Zd, k):
+    """The one-matrix kernel: every distance, then a full stable argsort."""
+    dist = np.sqrt(sq_dists(Zq, Zd))
+    indices = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return indices, np.take_along_axis(dist, indices, axis=1)
 
 
 def test_sq_dists_matches_difference_form_and_is_never_negative():
