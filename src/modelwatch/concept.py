@@ -17,8 +17,6 @@ from datetime import datetime, timezone
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import cramervonmises_2samp
-from scipy.stats import t as _student_t
 
 from ._geometry import complete_matrix, nearest, standardize
 from .data import FeatureFrame, Residuals, ScoredDataset, residuals
@@ -148,6 +146,8 @@ def residual_two_sample_test(
         stat, p = ks_two_sample(x, y)
         return ResidualTestResult("ks", stat, p)
     if test == "cvm":
+        from scipy.stats import cramervonmises_2samp  # on use: scipy.stats dominates start-up
+
         r = cramervonmises_2samp(x, y, method="asymptotic")
         return ResidualTestResult("cvm", float(r.statistic), float(min(max(r.pvalue, 0.0), 1.0)))
     raise ValueError(f"unknown residual test {test!r}")
@@ -302,8 +302,11 @@ def paired_model_comparison(errors_a, errors_b) -> PairedComparison:
             return PairedComparison(0.0, 0.0, 1.0, "tie")
         t_stat = float("inf") if mean_diff > 0 else float("-inf")
         return PairedComparison(mean_diff, t_stat, 0.0, "b" if mean_diff > 0 else "a")
+    from scipy.special import stdtr  # loaded on first use, not at import
+
     t_stat = mean_diff / (sd / np.sqrt(n))
-    p = float(2.0 * _student_t.sf(abs(t_stat), df=n - 1))
+    # two-sided Student-t tail: stdtr(df, -|t|) is scipy.stats.t.sf(|t|, df)
+    p = float(2.0 * stdtr(n - 1, -abs(t_stat)))
     if p < 0.05:
         better = "b" if mean_diff > 0 else "a"
     else:

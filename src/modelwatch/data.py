@@ -405,9 +405,15 @@ def residuals(ds: ScoredDataset) -> Residuals:
 # ---------------------------------------------------------------------------
 
 
+def _plain_number_text(text: str) -> bool:
+    """False for what ``float()`` reads beyond ASCII numbers: ``_`` digit
+    separators, non-ASCII digits and non-ASCII whitespace."""
+    return text.isascii() and "_" not in text
+
+
 def _parse_numeric(token: str, row: int, col: str) -> float:
     try:
-        value = float(token)
+        value = float(token) if _plain_number_text(token) else math.nan
     except ValueError:
         value = math.nan
     if not math.isfinite(value):  # NaN only ever marks a missing cell
@@ -437,7 +443,10 @@ def load_csv(
     missing. Returns a :class:`ScoredDataset` when the schema has both a
     target and a prediction column, otherwise a :class:`FeatureFrame`.
     Missing cells in target/prediction/quantile columns are parse errors:
-    scored rows must be fully scored.
+    scored rows must be fully scored. A numeric cell is a finite number in
+    ASCII, as Python's ``float()`` reads it, without ``_`` digit separators;
+    surrounding ASCII whitespace is accepted. Anything else raises
+    :class:`TypeParseError` naming the first bad cell.
     """
     missing = frozenset(missing_tokens)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -473,11 +482,14 @@ def load_csv(
         mask = np.fromiter(map(missing.__contains__, raw), bool, len(raw))
         present = ~mask
         values = np.zeros(len(raw))  # NumericColumn stores NaN where mask is set
+        kept = list(compress(raw, present.tolist()))
         try:
-            values[present] = np.fromiter(
-                map(float, compress(raw, present.tolist())), np.float64, np.count_nonzero(present)
+            values[present] = np.fromiter(map(float, kept), np.float64, len(kept))
+            parsed = (
+                (allow_missing or not mask.any())
+                and np.isfinite(values).all()
+                and _plain_number_text("".join(kept))
             )
-            parsed = (allow_missing or not mask.any()) and np.isfinite(values).all()
         except ValueError:
             parsed = False
         if not parsed:  # the per-cell loop names the first bad cell

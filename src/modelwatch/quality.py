@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import chi2
 
 from ._geometry import complete_matrix, fit_pca, standardize
 from .data import CategoricalColumn, FeatureFrame, NumericColumn, Schema
@@ -286,7 +285,10 @@ def outliers_pca_mahalanobis(
             {"variance_fraction": variance_fraction, "alpha": alpha, "n_components": 0},
         )
     scores = np.sum(basis.transform(X) ** 2 / basis.variances, axis=1)
-    threshold = float(chi2.ppf(1 - alpha, df=basis.n_components))
+    from scipy.special import gammaincinv  # loaded on first use, not at import
+
+    # the chi-squared quantile: 2 * P^-1(df / 2, q), the bits of scipy.stats.chi2.ppf
+    threshold = float(2.0 * gammaincinv(basis.n_components / 2, 1 - alpha))
     flags = scores > threshold
     return OutlierScoreSet(
         "pca_mahalanobis",

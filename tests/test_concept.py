@@ -356,6 +356,21 @@ class TestPairedComparison:
         with pytest.raises(LengthMismatch):
             paired_model_comparison([1.0], [1.0, 2.0])
 
+    def test_p_value_is_the_two_sided_student_t_tail(self):
+        from scipy.stats import t
+
+        r = np.random.default_rng(11)
+        cases = [([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), ([2.0, 3.0, 4.0], [1.0, 2.0, 3.0])]  # sd == 0
+        cases += [([1.0, 2.0, 3.0], [2.0, 3.0, 4.0]), ([0.0, 0.0], [0.0, 0.0])]
+        for n in (2, 3, 5, 10, 31, 100, 401):
+            for shift in (0.0, 0.01, 0.1, 0.5, 2.0, 10.0):
+                a = r.exponential(size=n)
+                cases.append((a, a - shift + r.normal(scale=0.3, size=n)))
+        for a, b in cases:
+            result = paired_model_comparison(a, b)
+            expected = float(2.0 * t.sf(abs(result.t_statistic), df=len(a) - 1))
+            assert result.p_value == expected, (len(a), result.t_statistic)
+
 
 class TestSegmentErrorTracking:
     def make_batch(self, rng, n=200, degraded=False):

@@ -122,6 +122,23 @@ class TestLoadCsv:
             load_csv(path, schema)
         assert (exc.value.row, exc.value.column, exc.value.token) == (1, "t", token)
 
+    @pytest.mark.parametrize("token", ["1_000", "\u0661\u0662", "\uff13", "2.5\u00a0", "1e1_0"])
+    @pytest.mark.parametrize("column", ["x0", "y"])
+    def test_separator_or_non_ascii_number_is_parse_error(self, tmp_path, token, column):
+        # float() reads all of these; a CSV number is ASCII without separators
+        cells = {"x0": "1", "x1": "2", "y": "3", "pred": "2.5", column: token}
+        path = write(tmp_path, "x0,x1,y,pred\n4,5,6,6.5\n" + ",".join(cells.values()) + "\n")
+        with pytest.raises(TypeParseError) as exc:
+            load_csv(path, simple_schema())
+        assert (exc.value.row, exc.value.column, exc.value.token) == (1, column, token)
+
+    def test_ascii_whitespace_around_a_number_is_accepted(self, tmp_path):
+        path = write(tmp_path, "x0,x1,y,pred\n 1 ,\t2,3 ,2.5\n")
+        ds = load_csv(path, simple_schema())
+        assert ds.frame.column("x0").values.tolist() == [1.0]
+        assert ds.frame.column("x1").values.tolist() == [2.0]
+        assert ds.y_true.tolist() == [3.0]
+
     def test_timestamp_column_with_a_non_number_loads_as_text(self, tmp_path):
         schema = Schema([*simple_schema(), ColumnSpec("t", "categorical", role="timestamp")])
         path = write(tmp_path, "x0,x1,y,pred,t\n1,2,3,2.5,inf\n4,5,6,6.5,2024-01-01\n")
@@ -448,7 +465,7 @@ def per_cell_numeric(raw: list[str], column: str, allow_missing: bool):
             mask[i] = True
             continue
         try:
-            value = float(token)
+            value = float(token) if token.isascii() and "_" not in token else math.nan
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
@@ -461,7 +478,8 @@ NUMERIC_TOKENS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10**20), 10**20).map(str),
     st.sampled_from(
-        ["", "NA", "NaN", "null", "nan", "inf", "-Infinity", "1e400", "abc", " 2.5", "1_000", "0x10", "+.5e-3"]
+        ["", "NA", "NaN", "null", "nan", "inf", "-Infinity", "1e400", "abc", " 2.5", "1_000", "0x10", "+.5e-3",
+         "\u0661\u0662", "\u00a02", "\t7 "]
     ),
 )
 

@@ -31,6 +31,7 @@ from modelwatch.outcome import (
     SegmentMetricRow,
     SegmentMetricsTable,
     WeakRegion,
+    _average_ranks,
     _lift,
     check_metric,
     default_error_metric,
@@ -352,6 +353,25 @@ class TestInvariance:
         frame = make_frame(x0=rng.normal(size=5))
         with pytest.raises(UnknownFeature):
             invariance_test(LinearModel({}), frame, ["ghost"])
+
+
+class TestAverageRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, np.inf, -np.inf, np.nan]) | st.floats(-2, 2, width=16),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_equals_scipy_rankdata(self, values):
+        from scipy.stats import rankdata
+
+        a = np.array(values)
+        got = _average_ranks(a)
+        expected = rankdata(a)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected, equal_nan=True)
 
 
 class TestMetricValue:

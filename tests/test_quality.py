@@ -278,6 +278,17 @@ class TestPcaMahalanobis:
         assert r2.scores[-1] == pytest.approx(0.0, abs=1e-6)
         assert not r2.flags[-1]
 
+    def test_threshold_is_the_chi_squared_quantile(self, rng):
+        from scipy.stats import chi2
+
+        X = rng.normal(size=(80, 64))
+        for df in range(1, 65):
+            frame = FeatureFrame.from_numeric(X[:, :df])
+            for alpha in (0.001, 0.01, 0.05, 0.1, 0.5):
+                result = outliers_pca_mahalanobis(frame, variance_fraction=1.0, alpha=alpha)
+                assert result.params["n_components"] == df
+                assert result.params["threshold"] == float(chi2.ppf(1 - alpha, df=df)), (df, alpha)
+
     def test_chi_squared_mean_property(self, rng):
         d = 4
         frame = FeatureFrame.from_numeric(rng.normal(size=(5000, d)))

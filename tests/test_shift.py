@@ -500,6 +500,51 @@ class TestFrequencyPairMatchesLoop:
         assert np.array_equal(got.q, expected.q)
 
 
+SAMPLES = st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, 1.0, 2.5]), min_size=1, max_size=40
+)
+
+
+class TestDivergenceProperties:
+    """Invariants of the histogram divergences and the two-sample statistics
+    on random inputs, beyond the hand values above."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(SAMPLES, SAMPLES, st.integers(2, 12), st.sampled_from([DEFAULT_EPSILON, 1e-3, 0.5]))
+    def test_jsd_and_tvd_bounded_and_symmetric(self, x, y, bins, epsilon):
+        h = make_histogram_pair(x, y, bins=bins, epsilon=epsilon)
+        swapped = HistogramPair(h.bin_edges, h.q, h.p, h.smoothing_epsilon)
+        assert 0.0 <= jsd(h) <= 1.0 + 1e-12
+        assert 0.0 <= tvd(h) <= 1.0
+        assert jsd(h) == jsd(swapped)
+        assert tvd(h) == tvd(swapped)
+
+    @settings(max_examples=100, deadline=None)
+    @given(SAMPLES, SAMPLES, st.randoms(use_true_random=False))
+    def test_ks_ignores_row_order(self, x, y, random):
+        x_perm, y_perm = random.sample(x, len(x)), random.sample(y, len(y))
+        assert ks_two_sample(x_perm, y) == ks_two_sample(x, y)
+        assert ks_two_sample(x, y_perm) == ks_two_sample(x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 0.25]),
+    )
+    def test_energy_ignores_row_order(self, n, m, d, seed, grid):
+        # grid 1.0 makes ties and zero distances; permuting rows only
+        # reorders the sums, so the value may move by rounding alone
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n, d)) / grid) * grid
+        Y = np.round(rng.normal(size=(m, d)) / grid) * grid
+        expected = energy_distance(X, Y)
+        for got in (energy_distance(rng.permutation(X), Y), energy_distance(X, rng.permutation(Y))):
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
 def two_col_scored(rng, n=400, shift=0.0, shifted_feature=None):
     x0 = rng.normal(size=n)
     x1 = rng.normal(size=n)

@@ -1,7 +1,10 @@
 """Source-level checks on the library package."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import modelwatch
@@ -60,5 +63,37 @@ def test_scored_role_fields_only_in_data_module():
         if path.name != "data.py"
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if any(literal in line for literal in literals)
+    ]
+    assert found == []
+
+
+def test_import_loads_no_scipy():
+    # scipy.stats alone took over a second to import, on every CLI run; the
+    # library imports scipy inside the functions that need it
+    code = (
+        "import sys, modelwatch, modelwatch.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+def import_time_nodes(node: ast.AST):
+    """Every node that runs when the module is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from import_time_nodes(child)
+
+
+def test_no_module_level_scipy_import():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in import_time_nodes(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
     ]
     assert found == []
