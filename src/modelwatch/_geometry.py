@@ -1,16 +1,18 @@
 """Row geometry: the complete-matrix check, z-standardisation, squared
-distances, nearest rows and the PCA basis.
+distances, row blocks, top-k selection, nearest rows and the PCA basis.
 
-``nearest`` scans the query rows in blocks of about ``_BLOCK_CELLS``
-distances and keeps the k best columns of each (argmin for k = 1, a stable
-argsort otherwise), so its memory is O(block x len(Zd)), never the
-len(Zq) x len(Zd) matrix; ties go to the lower Zd index.
+``row_blocks`` cuts the query rows into blocks of about ``_BLOCK_CELLS``
+cells and ``top_k`` keeps the k best columns of each block row, with ties to
+the lower column, so a k-nearest search never holds the full query x data
+matrix. ``nearest`` uses both, so its memory is O(block x len(Zd)).
 
 Kept with their callers on purpose: LOF's exact difference-form distances
 (the expansion here leaves up to ~6e-8 on duplicate rows of discrete data,
-which moves LOF scores), ``shift.mahalanobis``'s unfloored ridge and
+which moves LOF scores; LOF takes its blocks from ``row_blocks`` and
+its neighbours from ``top_k``), ``shift.mahalanobis``'s unfloored ridge and
 pseudo-inverse fallback, ``nn_match``'s Cholesky whitening with its 1e-12
-ridge floor, and the k-means++ seeding sums, which decide the picks.
+ridge floor, and k-means's exact differences (its k-means++ seeding sums
+decide the picks, and its Lloyd steps make no BLAS call).
 """
 
 from __future__ import annotations
@@ -48,18 +50,53 @@ def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
-_BLOCK_CELLS = 1 << 20  # distances per query block: 8 MB of float64
+_BLOCK_CELLS = 1 << 20  # cells per query block: 8 MB of float64
+
+
+def row_blocks(n: int, row_cells: int) -> list[tuple[int, int]]:
+    """(start, stop) bounds of blocks over n rows of ``row_cells`` cells
+    each: ``_BLOCK_CELLS // row_cells`` rows, at least 2, so an input of at
+    most ``_BLOCK_CELLS`` cells is one block. A one-row remainder joins the
+    block before it, since a one-row product takes the BLAS matrix-vector
+    path."""
+    step = max(2, _BLOCK_CELLS // max(row_cells, 1))
+    bounds = [*range(0, max(n - 1, 1), step), n]
+    return list(zip(bounds, bounds[1:]))
+
+
+def top_k(dist: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of ``dist``,
+    smallest first: exactly ``np.argsort(dist, axis=1, kind="stable")[:, :k]``,
+    so ties go to the lower column and NaN comes last.
+
+    k = 1 takes the first minimum. k > 1 partitions to the k-th value; a
+    row with exactly k entries at or below it stable-sorts just those, and
+    a row with a tie at the k-th place or a NaN there is argsorted whole.
+    """
+    if k == 1:
+        top = dist.argmin(axis=1)[:, None]  # the first minimum: the lower index
+        # argmin stops at a NaN, which a stable argsort puts last
+        for row in np.flatnonzero(np.isnan(np.take_along_axis(dist, top, axis=1)[:, 0])):
+            top[row] = np.argsort(dist[row], kind="stable")[:1]
+        return top
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    kept = dist <= kth  # no entry at all where the k-th value is NaN
+    exact = np.count_nonzero(kept, axis=1) == k
+    top = np.empty((len(dist), k), dtype=np.intp)
+    cols = np.nonzero(kept[exact])[1].reshape(-1, k)  # ascending within each row
+    order = np.argsort(np.take_along_axis(dist[exact], cols, axis=1), axis=1, kind="stable")
+    top[exact] = np.take_along_axis(cols, order, axis=1)
+    for row in np.flatnonzero(~exact):
+        top[row] = np.argsort(dist[row], kind="stable")[:k]
+    return top
 
 
 def nearest(Zq: np.ndarray, Zd: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and Euclidean distances of the k nearest rows of Zd for each
     row of Zq, nearest first; ties go to the lower Zd index.
 
-    Query rows are taken in blocks of ``_BLOCK_CELLS // len(Zd)`` rows, at
-    least 2, so memory is O(block x len(Zd)); an input of at most
-    ``_BLOCK_CELLS`` distances is one block. A one-row remainder joins the
-    block before it, since a one-row product takes the BLAS matrix-vector
-    path. k = 1 takes the first minimum; k > 1 a stable argsort of the block.
+    Query rows are taken in ``row_blocks`` of len(Zd) cells a row, so memory
+    is O(block x len(Zd)), and each block's picks come from ``top_k``.
 
     Bits: a block's distances equal the one-product kernel's only where the
     BLAS gives a cell the same bits whatever rows share its call. OpenBLAS
@@ -69,20 +106,12 @@ def nearest(Zq: np.ndarray, Zd: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     a reported distance and the pick between two rows that tie to rounding.
     """
     n = len(Zq)
-    step = max(2, _BLOCK_CELLS // max(len(Zd), 1))
-    bounds = [*range(0, max(n - 1, 1), step), n]
     indices = np.empty((n, k), dtype=np.intp)
     distances = np.empty((n, k))
-    for start, stop in zip(bounds, bounds[1:]):
+    for start, stop in row_blocks(n, len(Zd)):
         dist = sq_dists(Zq[start:stop], Zd)
         np.sqrt(dist, out=dist)
-        if k == 1:
-            top = dist.argmin(axis=1)[:, None]  # the first minimum: the lower index
-            # argmin stops at a NaN, which a stable argsort puts last
-            for row in np.flatnonzero(np.isnan(np.take_along_axis(dist, top, axis=1)[:, 0])):
-                top[row] = np.argsort(dist[row], kind="stable")[:1]
-        else:
-            top = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        top = top_k(dist, k)
         indices[start:stop] = top
         distances[start:stop] = np.take_along_axis(dist, top, axis=1)
     return indices, distances

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    CsvFormatError,
     DuplicateHeader,
     EmptyDataset,
     MissingColumn,
@@ -362,6 +363,10 @@ class ScoredDataset:
                 values = values.astype(object)
             if values.ndim != 1 or len(values) != self.frame.n_rows:
                 raise SchemaError(f"{field} length must equal frame.n_rows")
+            if dtype is np.float64 and not np.isfinite(values).all():
+                row = int(np.argmin(np.isfinite(values)))
+                bad = float(values[row])
+                raise SchemaError(f"{field} must be finite, got {bad!r} at row {row}")
             object.__setattr__(self, field, _frozen(values))
         if self.y_pred_lower is not None and np.any(self.y_pred_lower > self.y_pred_upper):
             raise SchemaError("y_pred_lower exceeds y_pred_upper on some rows")
@@ -431,6 +436,18 @@ def _timestamp_values(raw: list[str], col: str) -> np.ndarray:
     return np.array([_parse_numeric(token, i, col) for i, token in enumerate(raw)])
 
 
+def _read_rows(path) -> list[list[str]]:
+    """Every row of a UTF-8 CSV file; any other file raises ``CsvFormatError``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            return list(reader)
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
 def load_csv(
     path,
     schema: Schema,
@@ -446,25 +463,23 @@ def load_csv(
     scored rows must be fully scored. A numeric cell is a finite number in
     ASCII, as Python's ``float()`` reads it, without ``_`` digit separators;
     surrounding ASCII whitespace is accepted. Anything else raises
-    :class:`TypeParseError` naming the first bad cell.
+    :class:`TypeParseError` naming the first bad cell. A file that is not
+    UTF-8 CSV raises :class:`CsvFormatError`.
     """
     missing = frozenset(missing_tokens)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataset(f"{path}: empty file") from None
-        positions: dict[str, int] = {}
-        for i, name in enumerate(header):
-            if name in schema:
-                if name in positions:
-                    raise DuplicateHeader(name)
-                positions[name] = i
-        for spec in schema:
-            if spec.name not in positions:
-                raise MissingColumn(spec.name)
-        rows = list(reader)
+    rows = _read_rows(path)
+    if not rows:
+        raise EmptyDataset(f"{path}: empty file")
+    header, rows = rows[0], rows[1:]
+    positions: dict[str, int] = {}
+    for i, name in enumerate(header):
+        if name in schema:
+            if name in positions:
+                raise DuplicateHeader(name)
+            positions[name] = i
+    for spec in schema:
+        if spec.name not in positions:
+            raise MissingColumn(spec.name)
     needed = max(positions.values(), default=-1) + 1
     for i, r in enumerate(rows):
         if len(r) < needed:

@@ -23,6 +23,11 @@ class DuplicateHeader(ModelWatchError):
         self.name = name
 
 
+class CsvFormatError(ModelWatchError):
+    """A file cannot be read as UTF-8 CSV: bytes that are not UTF-8, or a
+    cell beyond the csv module's field size limit."""
+
+
 class TypeParseError(ModelWatchError):
     def __init__(self, row: int, column: str, token: str):
         super().__init__(f"row {row}, column {column!r}: cannot parse {token!r}")

@@ -14,7 +14,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from ._geometry import complete_matrix, sq_dists, standardize
+from ._geometry import complete_matrix, standardize
 from .data import CategoricalColumn, FeatureFrame, NumericColumn, ScoredDataset
 from .errors import (
     InvariantViolation,
@@ -314,6 +314,24 @@ def segment_by_bins(
     return SegmentAssignment(np.asarray(ids, dtype=np.int64), tuple(labels), "binned")
 
 
+def _centroid_sq_dists(Zt: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances, centroids x rows, of the rows of ``Zt.T`` to each
+    centroid, by exact differences added one feature at a time.
+
+    No BLAS call, unlike ``_geometry.sq_dists``: a product of n rows by a
+    handful of centroids is threaded by the BLAS, and each Lloyd step then
+    waits on its worker threads, so the step's time swings with any other
+    load on the machine, and its bits depend on the BLAS thread count.
+    """
+    d2 = np.zeros((len(centroids), Zt.shape[1]))
+    diff = np.empty_like(d2)
+    for j in range(len(Zt)):
+        np.subtract.outer(centroids[:, j], Zt[j], out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
+
+
 def kmeans(
     frame: FeatureFrame,
     k: int,
@@ -349,12 +367,14 @@ def kmeans(
         centroids[j] = Z[pick]
         closest_sq = np.minimum(closest_sq, np.sum((Z - centroids[j]) ** 2, axis=1))
 
+    Zt = np.ascontiguousarray(Z.T)
+    rows = np.arange(n)
     prev_inertia = np.inf
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        d2 = sq_dists(Z, centroids)
-        ids = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(n), ids].sum())
+        d2 = _centroid_sq_dists(Zt, centroids)
+        ids = np.argmin(d2, axis=0)  # the first minimum: the lower centroid
+        inertia = float(d2[ids, rows].sum())
         if inertia > prev_inertia + 1e-9 * max(1.0, prev_inertia):
             raise InvariantViolation(
                 f"k-means inertia increased from {prev_inertia!r} to {inertia!r}"
@@ -368,7 +388,7 @@ def kmeans(
                 new_centroids[j] = Z[members].mean(axis=0)
         empty = [j for j in range(k) if not np.any(ids == j)]
         if empty:
-            dist_to_own = d2[np.arange(n), ids]
+            dist_to_own = d2[ids, rows]
             farthest = np.argsort(-dist_to_own, kind="stable")
             for slot, j in enumerate(empty):
                 new_centroids[j] = Z[farthest[slot]]
@@ -377,9 +397,9 @@ def kmeans(
         if movement < tol:
             break
 
-    d2 = sq_dists(Z, centroids)
-    ids = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(n), ids].sum())
+    d2 = _centroid_sq_dists(Zt, centroids)
+    ids = np.argmin(d2, axis=0)
+    inertia = float(d2[ids, rows].sum())
     labels = tuple(f"cluster {j}" for j in range(k))
     return KMeansAssignment(
         segment_ids=np.asarray(ids, dtype=np.int64),

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._geometry import complete_matrix, fit_pca, standardize
+from ._geometry import complete_matrix, fit_pca, row_blocks, standardize, top_k
 from .data import CategoricalColumn, FeatureFrame, NumericColumn, Schema
 from .errors import (
     AllMissingColumn,
@@ -232,26 +232,34 @@ def outliers_lof(frame: FeatureFrame, k: int = 20, flag_threshold: float = 1.5) 
     ratio against the k nearest neighbors. Distances are floored at a tiny
     epsilon so duplicate points get density ratio 1 instead of dividing by
     zero; a frame of identical points scores 1.0 everywhere.
+
+    Cost: O(n^2 d) time. Rows are taken in blocks of about 2^20 differences
+    and only each row's k neighbours are kept, so memory is O(block x n),
+    never the n x n matrix; a pair's distance does not depend on its block.
     """
     X = complete_matrix(frame, "LOF")
-    n = X.shape[0]
+    n, d = X.shape
     if not 1 <= k < n:
         raise TooFewRows(f"LOF needs 1 <= k < n_rows, got k={k}, n={n}")
 
     mean, scale = standardize(X)
     Z = (X - mean) / scale
 
-    # exact differences, not _geometry.sq_dists (see that module's docstring)
-    diff = Z[:, None, :] - Z[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    np.fill_diagonal(dist, np.inf)
-
-    order = np.argsort(dist, axis=1, kind="stable")
-    neighbors = order[:, :k]  # ties broken toward lower index
-    kth = dist[np.arange(n), neighbors[:, -1]]  # k-distance of each point
+    neighbors = np.empty((n, k), dtype=np.intp)  # ties broken toward lower index
+    neighbor_dist = np.empty((n, k))
+    for start, stop in row_blocks(n, n * d):
+        # exact differences, not _geometry.sq_dists (see that module's docstring)
+        diff = Z[start:stop, None, :] - Z[None, :, :]
+        diff *= diff
+        dist = np.sum(diff, axis=2)
+        np.sqrt(dist, out=dist)
+        dist[np.arange(stop - start), np.arange(start, stop)] = np.inf  # not its own neighbour
+        top = top_k(dist, k)
+        neighbors[start:stop] = top
+        neighbor_dist[start:stop] = np.take_along_axis(dist, top, axis=1)
+    kth = neighbor_dist[:, -1]  # k-distance of each point
 
     # reach_dist[i, j] = max(k-distance(o_j), d(i, o_j)) for i's j-th neighbor
-    neighbor_dist = dist[np.arange(n)[:, None], neighbors]
     reach = np.maximum(kth[neighbors], neighbor_dist)
     lrd = 1.0 / np.maximum(reach.mean(axis=1), _LOF_EPS)
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -24,9 +25,11 @@ from modelwatch.data import (
     write_csv,
 )
 from modelwatch.errors import (
+    CsvFormatError,
     DuplicateHeader,
     EmptyDataset,
     MissingColumn,
+    ModelWatchError,
     SchemaError,
     ShortRow,
     TypeParseError,
@@ -162,6 +165,17 @@ class TestLoadCsv:
     def test_duplicate_header(self, tmp_path):
         path = write(tmp_path, "age,age,grade\n30,31,A\n")
         with pytest.raises(DuplicateHeader):
+            load_csv(path, feature_schema())
+
+    def test_bytes_that_are_not_utf8_are_a_format_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("age,grade\n30,\u00c9\n".encode("latin-1"))
+        with pytest.raises(CsvFormatError, match="not UTF-8 text"):
+            load_csv(path, feature_schema())
+
+    def test_a_cell_beyond_the_csv_field_limit_is_a_format_error(self, tmp_path):
+        path = write(tmp_path, "age,grade\n30,A\n40," + "B" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(CsvFormatError, match=r", line 3: field larger than field limit"):
             load_csv(path, feature_schema())
 
     def test_header_order_insensitive_and_extras_ignored(self, tmp_path):
@@ -451,6 +465,65 @@ class TestImmutability:
         frame = make_frame(x0=[1.0])
         with pytest.raises(SchemaError):
             ScoredDataset(frame, [1.0], [1.0], y_pred_lower=[2.0], y_pred_upper=[1.0])
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [field for field, dtype in SCORED_ROLES.values() if dtype is np.float64])
+    def test_rejected_naming_the_field(self, field, bad):
+        fields = {
+            "y_true": [0.0, 1.0, 0.0, 1.0],
+            "y_pred": [0.1, 0.4, 0.2, 0.9],
+            "y_pred_lower": [0.0, 0.0, 0.0, 0.0],
+            "y_pred_upper": [1.0, 1.0, 1.0, 1.0],
+        }
+        fields[field][1] = bad
+        frame = make_frame(x0=[1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(SchemaError, match=f"^{field} must be finite, got {re.escape(repr(bad))} at row 1$"):
+            ScoredDataset(frame, **fields)
+
+
+# A schema with a feature of each kind and every kind of scored role, and
+# pieces of CSV text that probe the reader: header names, numbers, missing
+# tokens, quotes, separators, a BOM, NUL and other control characters.
+FUZZ_SCHEMA = Schema(
+    [
+        ColumnSpec("x", "numeric"),
+        ColumnSpec("g", "categorical"),
+        ColumnSpec("y", "numeric", role="target"),
+        ColumnSpec("p", "numeric", role="prediction"),
+        ColumnSpec("t", "numeric", role="timestamp"),
+        ColumnSpec("s", "categorical", role="split_tag"),
+    ]
+)
+CSV_PIECES = st.one_of(
+    st.sampled_from(
+        ["x", "g", "y", "p", "t", "s", "1", "0.5", "-2", "1e400", "nan", "NA", "", ",", "\n", "\r\n", "\r",
+         '"', '""', 'a"b', '"1,2"', "\ufeff", "\x00", "1_0", " 3", "2024-01-01", "x,g,y,p,t,s\n", "x,x,"]
+    ),
+    st.text(max_size=4),
+)
+
+
+class TestLoadCsvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pieces=st.lists(CSV_PIECES, max_size=40),
+        header=st.sampled_from(["", "x,g,y,p,t,s\n", "\ufeffx,g,y,p,t,s\n", "\n", "x,g,y,p,t,s,x\n"]),
+        raw=st.binary(max_size=3),
+    )
+    def test_only_library_errors_escape(self, pieces, header, raw):
+        # raw bytes at the end: usually not UTF-8
+        text = (header + "".join(pieces)).encode() + raw
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.csv"
+            path.write_bytes(text)
+            try:
+                loaded = load_csv(path, FUZZ_SCHEMA)
+            except ModelWatchError:
+                return
+        assert isinstance(loaded, ScoredDataset)
+        assert np.isfinite(loaded.y_true).all() and np.isfinite(loaded.y_pred).all()
 
 
 def per_cell_numeric(raw: list[str], column: str, allow_missing: bool):

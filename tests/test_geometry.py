@@ -4,12 +4,66 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modelwatch import _geometry
-from modelwatch._geometry import complete_matrix, nearest, sq_dists, standardize
+from modelwatch._geometry import complete_matrix, nearest, row_blocks, sq_dists, standardize, top_k
 from modelwatch.errors import SchemaError
 
 from conftest import make_frame
+
+
+# few distinct values, so rows tie often, including at the k-th place
+TIE_VALUES = st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.0, 0.5, np.inf, -np.inf, np.nan])
+
+
+class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dist=arrays(
+            np.float64,
+            st.tuples(st.integers(0, 8), st.integers(1, 12)),
+            elements=TIE_VALUES | st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        repeats=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_equals_the_stable_argsort(self, dist, repeats, data):
+        dist = np.repeat(dist, repeats, axis=0)  # duplicate rows
+        k = data.draw(st.integers(1, dist.shape[1]), label="k")
+        expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(top_k(dist, k), expected)
+
+    @pytest.mark.parametrize(
+        "row, k, expected",
+        [
+            ([3.0, 1.0, 2.0, 2.0], 2, [1, 2]),  # a tie at the k-th place: the lower column
+            ([2.0, 1.0, 2.0, 0.0], 3, [3, 1, 0]),
+            ([np.nan, 1.0, 0.0], 2, [2, 1]),  # NaN comes last
+            ([np.nan, 1.0, np.nan], 2, [1, 0]),  # a NaN at the k-th place
+            ([np.inf, -np.inf, np.inf], 3, [1, 0, 2]),
+        ],
+    )
+    def test_ties_and_nan(self, row, k, expected):
+        assert top_k(np.array([row]), k).tolist() == [expected]
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "n, block_cells, row_cells, expected",
+        [
+            (7, 1, 10, [(0, 2), (2, 4), (4, 7)]),  # at least 2 rows; the last row joins its block
+            (7, 30, 10, [(0, 3), (3, 7)]),
+            (9, 30, 10, [(0, 3), (3, 6), (6, 9)]),
+            (9, 100, 10, [(0, 9)]),
+            (1, 1, 10, [(0, 1)]),
+            (0, 1, 10, [(0, 0)]),
+            (5, 1, 0, [(0, 2), (2, 5)]),
+        ],
+    )
+    def test_bounds(self, n, block_cells, row_cells, expected, monkeypatch):
+        monkeypatch.setattr(_geometry, "_BLOCK_CELLS", block_cells)
+        assert row_blocks(n, row_cells) == expected
 
 
 class TestNearest:

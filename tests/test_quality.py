@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from modelwatch import _geometry, quality
 from modelwatch.data import ColumnSpec, FeatureFrame, Schema
 from modelwatch.errors import AllMissingColumn, StrategyKindMismatch, TooFewRows
 from modelwatch.quality import (
@@ -253,6 +255,37 @@ class TestLof:
     def test_k_bounds(self):
         with pytest.raises(TooFewRows):
             outliers_lof(FeatureFrame.from_numeric(np.zeros((3, 1))), k=3)
+
+    @pytest.mark.parametrize("data", ["continuous", "grid"])
+    @pytest.mark.parametrize("blocks", ["one-row", "smallest", "ragged"])
+    def test_row_blocks_give_the_single_block_bits(self, blocks, data, monkeypatch):
+        # a pair's difference-form distance never depends on its block
+        rng = np.random.default_rng(11)
+        if data == "continuous":
+            X = rng.normal(size=(61, 3))
+        else:
+            X = rng.integers(0, 4, size=(61, 3)).astype(float)
+        frame = FeatureFrame.from_numeric(X)
+        assert len(_geometry.row_blocks(61, 61 * 3)) == 1
+        single = outliers_lof(frame, k=7)
+        if blocks == "one-row":
+            monkeypatch.setattr(quality, "row_blocks", lambda n, row_cells: [(i, i + 1) for i in range(n)])
+        else:
+            # 2-row blocks ending in a 3-row one, or 7-row blocks ending in a 5-row one
+            monkeypatch.setattr(_geometry, "_BLOCK_CELLS", 1 if blocks == "smallest" else 7 * 61 * 3)
+        blocked = outliers_lof(frame, k=7)
+        np.testing.assert_array_equal(blocked.scores, single.scores)
+        np.testing.assert_array_equal(blocked.flags, single.flags)
+
+    def test_memory_stays_at_one_block(self):
+        frame = FeatureFrame.from_numeric(np.random.default_rng(0).normal(size=(3000, 5)))
+        tracemalloc.start()
+        try:
+            outliers_lof(frame, k=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20  # the 3000 x 3000 x 5 difference tensor alone is 360 MB
 
 
 class TestPcaMahalanobis:
