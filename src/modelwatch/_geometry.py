@@ -1,18 +1,20 @@
 """Row geometry: the complete-matrix check, z-standardisation, squared
 distances, row blocks, top-k selection, nearest rows and the PCA basis.
 
+Two squared-distance forms: ``sq_dists`` expands |a|^2 + |b|^2 - 2 a.b into
+one BLAS product, for the speed of ``nearest`` and energy/MMD;
+``exact_sq_dists`` adds exact differences feature by feature, so LOF's and
+k-means's bits do not depend on the BLAS and duplicate rows are exactly 0
+apart (the expansion leaves up to ~6e-8 there on discrete data).
+
 ``row_blocks`` cuts the query rows into blocks of about ``_BLOCK_CELLS``
 cells and ``top_k`` keeps the k best columns of each block row, with ties to
 the lower column, so a k-nearest search never holds the full query x data
-matrix. ``nearest`` uses both, so its memory is O(block x len(Zd)).
+matrix. ``nearest`` and LOF use both, so their memory is O(block x n).
 
-Kept with their callers on purpose: LOF's exact difference-form distances
-(the expansion here leaves up to ~6e-8 on duplicate rows of discrete data,
-which moves LOF scores; LOF takes its blocks from ``row_blocks`` and
-its neighbours from ``top_k``), ``shift.mahalanobis``'s unfloored ridge and
-pseudo-inverse fallback, ``nn_match``'s Cholesky whitening with its 1e-12
-ridge floor, and k-means's exact differences (its k-means++ seeding sums
-decide the picks, and its Lloyd steps make no BLAS call).
+Kept with their callers on purpose: ``shift.mahalanobis``'s unfloored ridge
+and pseudo-inverse fallback, and ``nn_match``'s Cholesky whitening with its
+1e-12 ridge floor.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from .errors import SchemaError
 
 
 def complete_matrix(frame: FeatureFrame, what: str) -> np.ndarray:
-    """The numeric matrix of ``frame``; a missing cell raises ``SchemaError`` naming ``what``."""
+    """The numeric matrix of ``frame``; a NaN or ±inf cell raises ``SchemaError`` naming ``what``."""
     X = frame.numeric_matrix()
-    if np.isnan(X).any():
-        raise SchemaError(f"{what} requires a frame with no missing values; impute first")
+    if not np.isfinite(X).all():
+        kind = "missing values; impute first" if np.isnan(X).any() else "infinite values"
+        raise SchemaError(f"{what} requires a frame with no {kind}")
     return X
 
 
@@ -48,6 +51,20 @@ def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     bb = np.sum(B * B, axis=1)[None, :]
     sq = aa + bb - 2.0 * (A @ B.T)
     return np.maximum(sq, 0.0, out=sq)
+
+
+def exact_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A and of B: exact
+    differences, squared and added in feature order, which for up to 7
+    features gives the bits of ``np.sum(diff ** 2, axis=-1)``. B's columns
+    are read in place when B is Fortran-order, else from a transposed copy."""
+    out = np.zeros((len(A), len(B)))
+    diff = np.empty_like(out)
+    for a, b in zip(A.T, np.ascontiguousarray(B.T)):
+        np.subtract.outer(a, b, out=diff)
+        diff *= diff
+        out += diff
+    return out
 
 
 _BLOCK_CELLS = 1 << 20  # cells per query block: 8 MB of float64

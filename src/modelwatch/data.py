@@ -437,8 +437,8 @@ def _timestamp_values(raw: list[str], col: str) -> np.ndarray:
 
 
 def _read_rows(path) -> list[list[str]]:
-    """Every row of a UTF-8 CSV file; any other file raises ``CsvFormatError``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Every row of a UTF-8 CSV file, BOM dropped; any other file raises ``CsvFormatError``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             return list(reader)
@@ -464,7 +464,8 @@ def load_csv(
     ASCII, as Python's ``float()`` reads it, without ``_`` digit separators;
     surrounding ASCII whitespace is accepted. Anything else raises
     :class:`TypeParseError` naming the first bad cell. A file that is not
-    UTF-8 CSV raises :class:`CsvFormatError`.
+    UTF-8 CSV raises :class:`CsvFormatError`; a leading byte-order mark is
+    dropped, so it never joins the first header name.
     """
     missing = frozenset(missing_tokens)
     rows = _read_rows(path)

@@ -14,7 +14,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from ._geometry import complete_matrix, standardize
+from ._geometry import complete_matrix, exact_sq_dists, standardize
 from .data import CategoricalColumn, FeatureFrame, NumericColumn, ScoredDataset
 from .errors import (
     InvariantViolation,
@@ -314,24 +314,6 @@ def segment_by_bins(
     return SegmentAssignment(np.asarray(ids, dtype=np.int64), tuple(labels), "binned")
 
 
-def _centroid_sq_dists(Zt: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared distances, centroids x rows, of the rows of ``Zt.T`` to each
-    centroid, by exact differences added one feature at a time.
-
-    No BLAS call, unlike ``_geometry.sq_dists``: a product of n rows by a
-    handful of centroids is threaded by the BLAS, and each Lloyd step then
-    waits on its worker threads, so the step's time swings with any other
-    load on the machine, and its bits depend on the BLAS thread count.
-    """
-    d2 = np.zeros((len(centroids), Zt.shape[1]))
-    diff = np.empty_like(d2)
-    for j in range(len(Zt)):
-        np.subtract.outer(centroids[:, j], Zt[j], out=diff)
-        diff *= diff
-        d2 += diff
-    return d2
-
-
 def kmeans(
     frame: FeatureFrame,
     k: int,
@@ -344,6 +326,8 @@ def kmeans(
     Deterministic for fixed inputs and seed. Empty clusters are re-seeded
     from the point farthest from its assigned centroid. Iterates until the
     largest centroid movement falls below ``tol`` or ``max_iter`` is hit.
+    Seeding and every Lloyd step take ``_geometry.exact_sq_dists``: no BLAS
+    call, so a step's time and bits do not depend on BLAS threads.
     """
     X = complete_matrix(frame, "kmeans")
     n, d = X.shape
@@ -351,13 +335,12 @@ def kmeans(
         raise KExceedsRows(f"need 1 <= k <= n_rows, got k={k}, n={n}")
 
     mean, scale = standardize(X)
-    Z = (X - mean) / scale
+    Z = np.asfortranarray((X - mean) / scale)  # feature columns contiguous
 
-    # exact differences, not _geometry.sq_dists (see that module's docstring)
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, d))
     centroids[0] = Z[rng.integers(n)]
-    closest_sq = np.sum((Z - centroids[0]) ** 2, axis=1)
+    closest_sq = exact_sq_dists(centroids[:1], Z)[0]
     for j in range(1, k):
         total = closest_sq.sum()
         if total == 0:
@@ -365,14 +348,13 @@ def kmeans(
         else:
             pick = int(rng.choice(n, p=closest_sq / total))
         centroids[j] = Z[pick]
-        closest_sq = np.minimum(closest_sq, np.sum((Z - centroids[j]) ** 2, axis=1))
+        closest_sq = np.minimum(closest_sq, exact_sq_dists(centroids[j : j + 1], Z)[0])
 
-    Zt = np.ascontiguousarray(Z.T)
     rows = np.arange(n)
     prev_inertia = np.inf
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        d2 = _centroid_sq_dists(Zt, centroids)
+        d2 = exact_sq_dists(centroids, Z)
         ids = np.argmin(d2, axis=0)  # the first minimum: the lower centroid
         inertia = float(d2[ids, rows].sum())
         if inertia > prev_inertia + 1e-9 * max(1.0, prev_inertia):
@@ -397,7 +379,7 @@ def kmeans(
         if movement < tol:
             break
 
-    d2 = _centroid_sq_dists(Zt, centroids)
+    d2 = exact_sq_dists(centroids, Z)
     ids = np.argmin(d2, axis=0)
     inertia = float(d2[ids, rows].sum())
     labels = tuple(f"cluster {j}" for j in range(k))

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._geometry import complete_matrix, fit_pca, row_blocks, standardize, top_k
+from ._geometry import complete_matrix, exact_sq_dists, fit_pca, row_blocks, standardize, top_k
 from .data import CategoricalColumn, FeatureFrame, NumericColumn, Schema
 from .errors import (
     AllMissingColumn,
@@ -233,9 +233,10 @@ def outliers_lof(frame: FeatureFrame, k: int = 20, flag_threshold: float = 1.5) 
     epsilon so duplicate points get density ratio 1 instead of dividing by
     zero; a frame of identical points scores 1.0 everywhere.
 
-    Cost: O(n^2 d) time. Rows are taken in blocks of about 2^20 differences
-    and only each row's k neighbours are kept, so memory is O(block x n),
-    never the n x n matrix; a pair's distance does not depend on its block.
+    Cost: O(n^2 d) time. Distances are ``_geometry.exact_sq_dists``, taken
+    in blocks of about 2^20 / (n d) rows, and only each row's k neighbours
+    are kept, so memory is O(block x n), never the n x n matrix; a pair's
+    distance does not depend on its block.
     """
     X = complete_matrix(frame, "LOF")
     n, d = X.shape
@@ -243,15 +244,12 @@ def outliers_lof(frame: FeatureFrame, k: int = 20, flag_threshold: float = 1.5) 
         raise TooFewRows(f"LOF needs 1 <= k < n_rows, got k={k}, n={n}")
 
     mean, scale = standardize(X)
-    Z = (X - mean) / scale
+    Z = np.asfortranarray((X - mean) / scale)  # feature columns contiguous
 
     neighbors = np.empty((n, k), dtype=np.intp)  # ties broken toward lower index
     neighbor_dist = np.empty((n, k))
     for start, stop in row_blocks(n, n * d):
-        # exact differences, not _geometry.sq_dists (see that module's docstring)
-        diff = Z[start:stop, None, :] - Z[None, :, :]
-        diff *= diff
-        dist = np.sum(diff, axis=2)
+        dist = exact_sq_dists(Z[start:stop], Z)
         np.sqrt(dist, out=dist)
         dist[np.arange(stop - start), np.arange(start, stop)] = np.inf  # not its own neighbour
         top = top_k(dist, k)

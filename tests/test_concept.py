@@ -73,6 +73,15 @@ class TestNnMatch:
         np.testing.assert_array_equal(result.matched_dev_indices.ravel(), np.arange(20))
         assert result.mean_match_distance == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("side", ["new", "dev"])
+    def test_infinite_cell_is_a_schema_error(self, rng, side):
+        # an inf gave a NaN mean_match_distance and no error
+        X = {name: rng.normal(size=(50, 2)) for name in ("new", "dev")}
+        X[side][7, 1] = np.inf
+        frames = {name: make_frame(x0=x[:, 0], x1=x[:, 1]) for name, x in X.items()}
+        with pytest.raises(SchemaError, match="^matching requires a frame with no infinite values$"):
+            nn_match(frames["new"], frames["dev"])
+
     def test_single_dev_row(self, rng):
         new = make_frame(x0=rng.normal(size=5))
         dev = make_frame(x0=np.array([0.0]))

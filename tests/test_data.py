@@ -91,6 +91,14 @@ class TestLoadCsv:
         assert not any(c.missing_mask.any() for c in frame.columns)
         np.testing.assert_array_equal(frame.column("age").values, [30, 40, 50])
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # a BOM stayed in the first header name: MissingColumn 'age'
+        path = tmp_path / "data.csv"
+        path.write_bytes("\ufeffage,grade\n30,A\n40,B\n".encode("utf-8"))
+        frame = load_csv(path, feature_schema())
+        assert frame.names == ("age", "grade")
+        np.testing.assert_array_equal(frame.column("age").values, [30, 40])
+
     def test_declared_missing_token(self, tmp_path):
         path = write(tmp_path, "age,grade\nNA,A\n40,B\n")
         frame = load_csv(path, feature_schema())

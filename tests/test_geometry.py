@@ -6,8 +6,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from modelwatch import _geometry
-from modelwatch._geometry import complete_matrix, nearest, row_blocks, sq_dists, standardize, top_k
+from modelwatch import _geometry, outcome, quality
+from modelwatch._geometry import (
+    complete_matrix,
+    exact_sq_dists,
+    nearest,
+    row_blocks,
+    sq_dists,
+    standardize,
+    top_k,
+)
+from modelwatch.data import FeatureFrame
 from modelwatch.errors import SchemaError
 
 from conftest import make_frame
@@ -185,6 +194,60 @@ def dense_nearest(Zq, Zd, k):
     return indices, np.take_along_axis(dist, indices, axis=1)
 
 
+class TestExactSqDists:
+    @pytest.mark.parametrize("d", [0, 1, 2, 5, 9])
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_equals_the_in_order_sum(self, rng, d, grid):
+        Z = rng.integers(-2, 3, size=(60, d)).astype(float) if grid else rng.normal(size=(60, d))
+        C = Z[rng.choice(60, size=7)] + (0.0 if grid else rng.normal(size=(7, d)))
+        for A, B in [(C, Z), (Z, Z), (Z[:13], np.asfortranarray(Z))]:  # centroids x rows, rows x rows
+            expected = np.zeros((len(A), len(B)))
+            for j in range(d):  # features added in order, as the docstring says
+                expected += (A[:, j, None] - B[None, :, j]) ** 2
+            got = exact_sq_dists(A, B)
+            assert got.shape == (len(A), len(B))
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("d", [1, 3, 9])
+    def test_duplicate_rows_are_exactly_zero_apart(self, rng, d):
+        Z = rng.normal(size=(40, d)) * 1e3 + 1e6
+        Z = np.vstack([Z, Z[::3]])
+        same = np.all(Z[:, None, :] == Z[None, :, :], axis=2)
+        dist = exact_sq_dists(Z, Z)
+        assert np.all(dist[same] == 0.0)
+        assert np.all(dist[~same] > 0.0)
+
+
+def parent_sq_dists(A, B):
+    """The form LOF's blocks and k-means++ seeding summed before
+    exact_sq_dists: a rows x rows x d difference tensor, squared in place
+    and reduced over its last axis by np.sum."""
+    diff = A[:, None, :] - B[None, :, :]
+    diff *= diff
+    return np.sum(diff, axis=2)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("grid", [False, True])
+def test_lof_and_kmeans_keep_their_bits_up_to_7_features(d, grid, monkeypatch):
+    # up to 7 features np.sum adds in feature order, so the exact kernel
+    # changes no LOF score, cluster or centroid bit on these inputs
+    rng = np.random.default_rng(d)
+    X = rng.integers(0, 4, size=(150, d)).astype(float) if grid else rng.normal(size=(150, d))
+    frame = FeatureFrame.from_numeric(X)
+
+    def run():
+        lof = quality.outliers_lof(frame, k=9)
+        km = outcome.kmeans(frame, k=6, seed=d)
+        return lof.scores, lof.flags, km.segment_ids, km.centroids, km.inertia, km.n_iter
+
+    ours = run()
+    monkeypatch.setattr(quality, "exact_sq_dists", parent_sq_dists)
+    monkeypatch.setattr(outcome, "exact_sq_dists", parent_sq_dists)
+    for got, expected in zip(ours, run(), strict=True):
+        assert np.array_equal(got, expected)
+
+
 def test_sq_dists_matches_difference_form_and_is_never_negative():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(30, 4))
@@ -207,3 +270,14 @@ def test_complete_matrix_rejects_a_missing_cell():
         complete_matrix(frame, "LOF")
     complete = make_frame(b=[1.0, 2.0, 3.0])
     np.testing.assert_array_equal(complete_matrix(complete, "LOF"), [[1.0], [2.0], [3.0]])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_complete_matrix_rejects_an_infinite_cell(bad):
+    frame = make_frame(a=[1.0, bad, 3.0], b=[1.0, 2.0, 3.0])
+    with pytest.raises(SchemaError, match="^kmeans requires a frame with no infinite values$"):
+        complete_matrix(frame, "kmeans")
+    # a missing cell is named first, as it is the one to impute
+    mixed = make_frame(a=[1.0, bad, 3.0], b=[1.0, 2.0, np.nan])
+    with pytest.raises(SchemaError, match="no missing values; impute first$"):
+        complete_matrix(mixed, "kmeans")

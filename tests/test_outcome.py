@@ -32,7 +32,6 @@ from modelwatch.outcome import (
     SegmentMetricsTable,
     WeakRegion,
     _average_ranks,
-    _centroid_sq_dists,
     _lift,
     check_metric,
     default_error_metric,
@@ -136,17 +135,12 @@ class TestKmeans:
         with pytest.raises(KExceedsRows):
             kmeans(FeatureFrame.from_numeric(np.zeros((3, 1))), k=4)
 
-    @pytest.mark.parametrize("d", [0, 1, 2, 5, 9])
-    @pytest.mark.parametrize("grid", [False, True])
-    def test_lloyd_distances_are_exact_differences(self, rng, d, grid):
-        Z = rng.integers(-2, 3, size=(60, d)).astype(float) if grid else rng.normal(size=(60, d))
-        C = Z[rng.choice(60, size=7)] + (0.0 if grid else rng.normal(size=(7, d)))
-        expected = np.zeros((7, 60))
-        for j in range(d):  # features added in order, as the docstring says
-            expected += (C[:, j, None] - Z[None, :, j]) ** 2
-        got = _centroid_sq_dists(np.ascontiguousarray(Z.T), C)
-        assert got.shape == (7, 60)
-        assert np.array_equal(got, expected)
+    def test_infinite_cell_is_a_schema_error(self):
+        # an inf made every k-means++ pick probability NaN: a bare ValueError
+        X = np.random.default_rng(0).normal(size=(50, 2))
+        X[7, 1] = np.inf
+        with pytest.raises(SchemaError, match="^kmeans requires a frame with no infinite values$"):
+            kmeans(FeatureFrame.from_numeric(X), k=3)
 
 
 class TestSegmentMetrics:

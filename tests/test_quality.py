@@ -6,7 +6,7 @@ import pytest
 
 from modelwatch import _geometry, quality
 from modelwatch.data import ColumnSpec, FeatureFrame, Schema
-from modelwatch.errors import AllMissingColumn, StrategyKindMismatch, TooFewRows
+from modelwatch.errors import AllMissingColumn, SchemaError, StrategyKindMismatch, TooFewRows
 from modelwatch.quality import (
     _LOF_EPS,
     MISSING_CATEGORY,
@@ -201,7 +201,9 @@ def lof_oracle(Z: np.ndarray, k: int) -> list[float]:
 
 
 class TestLof:
-    @pytest.mark.parametrize("n, d, k", [(30, 1, 3), (45, 2, 5), (60, 3, 8), (80, 4, 10), (100, 5, 12), (120, 6, 15)])
+    @pytest.mark.parametrize(
+        "n, d, k", [(30, 1, 3), (45, 2, 5), (60, 3, 8), (80, 4, 10), (100, 5, 12), (120, 6, 15), (90, 8, 9), (70, 9, 6)]
+    )
     def test_matches_loop_oracle(self, n, d, k):
         X = np.random.default_rng(n + d + k).normal(size=(n, d))
         Z = (X - X.mean(axis=0)) / X.std(axis=0)
@@ -255,6 +257,13 @@ class TestLof:
     def test_k_bounds(self):
         with pytest.raises(TooFewRows):
             outliers_lof(FeatureFrame.from_numeric(np.zeros((3, 1))), k=3)
+
+    def test_infinite_cell_is_a_schema_error(self):
+        # an inf gave every row a NaN score and no flags
+        X = np.random.default_rng(0).normal(size=(50, 2))
+        X[7, 1] = np.inf
+        with pytest.raises(SchemaError, match="^LOF requires a frame with no infinite values$"):
+            outliers_lof(FeatureFrame.from_numeric(X), k=5)
 
     @pytest.mark.parametrize("data", ["continuous", "grid"])
     @pytest.mark.parametrize("blocks", ["one-row", "smallest", "ragged"])
@@ -327,3 +336,10 @@ class TestPcaMahalanobis:
         frame = FeatureFrame.from_numeric(rng.normal(size=(5000, d)))
         result = outliers_pca_mahalanobis(frame, variance_fraction=1.0)
         assert abs(result.scores.mean() - d) / d < 0.15
+
+    def test_infinite_cell_is_a_schema_error(self):
+        # an inf reached the SVD, which raised a bare LinAlgError
+        X = np.random.default_rng(0).normal(size=(50, 2))
+        X[7, 1] = -np.inf
+        with pytest.raises(SchemaError, match="^PCA-Mahalanobis requires a frame with no infinite values$"):
+            outliers_pca_mahalanobis(FeatureFrame.from_numeric(X))

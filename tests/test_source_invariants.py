@@ -38,6 +38,25 @@ def test_row_geometry_only_in_geometry_module():
     assert found == []
 
 
+def test_pairwise_differences_only_in_geometry_module():
+    # exact pairwise differences are written once, as _geometry.exact_sq_dists:
+    # no np.subtract.outer, and no broadcast subscript with None among three
+    # or more entries, such as [:, None, :]
+    subscript = re.compile(r"\[([^\[\]]*)\]")
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "_geometry.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "subtract.outer" in line
+        or any(
+            "None" in [part.strip() for part in entries.split(",")] and entries.count(",") >= 2
+            for entries in subscript.findall(line)
+        )
+    ]
+    assert found == []
+
+
 def test_segment_scoring_only_in_outcome_module():
     # metric choice, the per-group rule and quantile edges are written once,
     # in outcome.py; concept.py reaches them through its shared helpers
