@@ -28,8 +28,11 @@ from .errors import SchemaError
 
 
 def complete_matrix(frame: FeatureFrame, what: str) -> np.ndarray:
-    """The numeric matrix of ``frame``; a NaN or ±inf cell raises ``SchemaError`` naming ``what``."""
+    """The numeric matrix of ``frame``; no numeric column, or a NaN or ±inf
+    cell, raises ``SchemaError`` naming ``what``."""
     X = frame.numeric_matrix()
+    if X.shape[1] == 0:  # every distance would be 0: a clean result that means nothing
+        raise SchemaError(f"{what} needs at least one numeric feature")
     if not np.isfinite(X).all():
         kind = "missing values; impute first" if np.isnan(X).any() else "infinite values"
         raise SchemaError(f"{what} requires a frame with no {kind}")

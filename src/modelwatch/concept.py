@@ -25,7 +25,6 @@ from .errors import (
     EmptySample,
     LengthMismatch,
     NoTimestamps,
-    SchemaError,
     SchemaMismatch,
     TooFewRows,
 )
@@ -105,8 +104,6 @@ def nn_match(
         raise ValueError(f"need 1 <= k <= dev rows, got k={k}")
     Xn = complete_matrix(new, "matching")
     Xd = complete_matrix(dev, "matching")
-    if Xd.shape[1] == 0:  # every distance would be 0: all rows match dev row 0
-        raise SchemaError("matching needs at least one numeric feature")
 
     if metric == "euclidean_standardized":
         mean, scale = standardize(Xd)

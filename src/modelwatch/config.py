@@ -265,7 +265,7 @@ def parse_config(path) -> MonitorConfig:
     """Load and validate a JSON config file; defaults filled."""
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is dropped, as in load_csv
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None

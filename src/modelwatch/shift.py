@@ -7,9 +7,11 @@ error, with permutation-based significance for the two-sample statistics.
 The permutation test scores every split of the pooled sample at once: the
 splits are the columns of a 0/1 indicator matrix, and one matrix product
 with the pooled distance (or kernel) matrix gives all their statistics in
-O(N^2 B) BLAS work for N pooled rows and B permutations, with O(N^2)
-memory for the pooled matrix. A permuted statistic that ties the observed
-one up to rounding counts as >= it.
+O(N^2 B) BLAS work for N pooled rows and B permutations. The pooled matrix
+is built in row blocks and never held whole, so memory is O(block*N + N*B),
+plus N(N-1)/2 floats for the MMD median bandwidth, which the drift scan
+takes once per multivariate block. A permuted statistic that ties the
+observed one up to rounding counts as >= it.
 
 Conventions: KL is reported in nats; JSD in bits so it is bounded by 1.
 PSI is the index sum((p - q) * ln(p / q)), a symmetrized KL distinct from
@@ -21,13 +23,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._geometry import PcaBasis, fit_pca, sq_dists
+from ._geometry import PcaBasis, fit_pca, row_blocks, sq_dists
 from .data import FeatureFrame, NumericColumn, ScoredDataset
-from .errors import DimensionMismatch, EmptySample, SchemaMismatch
+from .errors import DimensionMismatch, EmptySample, SchemaError, SchemaMismatch
 
 DEFAULT_BINS = 10
 DEFAULT_EPSILON = 1e-6
@@ -241,6 +244,9 @@ def _check_pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"column counts differ: {X.shape[1]} vs {Y.shape[1]}")
     if X.shape[0] == 0 or Y.shape[0] == 0:
         raise EmptySample("multivariate statistics need nonempty samples")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        kind = "missing values" if np.isnan(X).any() or np.isnan(Y).any() else "infinite values"
+        raise SchemaError(f"multivariate statistics require samples with no {kind}")
     return X, Y
 
 
@@ -257,22 +263,30 @@ def energy_distance(X, Y) -> float:
     return float(2.0 * d_xy - d_xx - d_yy)
 
 
-def _median_offdiag(sq: np.ndarray) -> float:
-    """Median of the strictly upper-triangular entries of a square matrix.
+def _pooled_sq_median(Z: np.ndarray) -> float:
+    """Median of the strictly upper-triangular entries of ``sq_dists(Z, Z)``.
 
-    A boolean mask picks them in row-major order, the order of a
-    triangle-index lookup, without building two int64 index arrays.
+    The matrix is built in row blocks, and each row's entries right of the
+    diagonal are copied, in row-major order (that of a triangle-index
+    lookup), into one vector of N(N-1)/2 floats, so the N x N matrix is
+    never held.
     """
-    idx = np.arange(sq.shape[0])
-    off = sq[idx[:, None] < idx[None, :]]
-    return float(np.median(off, overwrite_input=True))
+    N = len(Z)
+    upper = np.empty(N * (N - 1) // 2)
+    at = 0
+    for start, stop in row_blocks(N, N):
+        block = sq_dists(Z[start:stop], Z)
+        for i in range(start, stop):
+            upper[at : at + N - 1 - i] = block[i - start, i + 1 :]
+            at += N - 1 - i
+        del block  # freed before the next block is built
+    return float(np.median(upper, overwrite_input=True))
 
 
 def median_heuristic_bandwidth(X, Y) -> float:
     """Median of the off-diagonal pairwise distances of the pooled sample."""
     X, Y = _check_pair(X, Y)
-    Z = np.vstack([X, Y])
-    return float(np.sqrt(_median_offdiag(sq_dists(Z, Z))))
+    return float(np.sqrt(_pooled_sq_median(np.vstack([X, Y]))))
 
 
 def mmd2(X, Y, bandwidth: float | str = "median", unbiased: bool = False) -> float:
@@ -282,9 +296,13 @@ def mmd2(X, Y, bandwidth: float | str = "median", unbiased: bool = False) -> flo
     "median" for the median heuristic on the pooled sample. The default
     biased V-statistic is exactly 0 for identical sample sets; the unbiased
     U-statistic drops the diagonal terms. All points identical makes the
-    median bandwidth 0, in which case MMD^2 is defined as 0.
+    median bandwidth 0, in which case MMD^2 is defined as 0. The three
+    kernel blocks are built and reduced one at a time.
     """
     X, Y = _check_pair(X, Y)
+    n, m = X.shape[0], Y.shape[0]
+    if unbiased and (n < 2 or m < 2):
+        raise EmptySample("unbiased MMD^2 needs at least 2 rows per sample")
     if bandwidth == "median":
         sigma = median_heuristic_bandwidth(X, Y)
         if sigma == 0.0:
@@ -293,20 +311,15 @@ def mmd2(X, Y, bandwidth: float | str = "median", unbiased: bool = False) -> flo
         sigma = float(bandwidth)
         if sigma <= 0:
             raise ValueError("bandwidth must be positive")
-    n, m = X.shape[0], Y.shape[0]
     gamma = 1.0 / (2.0 * sigma * sigma)
-    k_xx = np.exp(-gamma * sq_dists(X, X))
-    k_yy = np.exp(-gamma * sq_dists(Y, Y))
-    k_xy = np.exp(-gamma * sq_dists(X, Y))
-    if unbiased:
-        if n < 2 or m < 2:
-            raise EmptySample("unbiased MMD^2 needs at least 2 rows per sample")
-        term_xx = (k_xx.sum() - np.trace(k_xx)) / (n * (n - 1))
-        term_yy = (k_yy.sum() - np.trace(k_yy)) / (m * (m - 1))
-    else:
-        term_xx = k_xx.mean()
-        term_yy = k_yy.mean()
-    return float(term_xx + term_yy - 2.0 * k_xy.mean())
+
+    def term(A: np.ndarray, B: np.ndarray, within: bool) -> float:
+        k = np.exp(-gamma * sq_dists(A, B))
+        if unbiased and within:
+            return (k.sum() - np.trace(k)) / (len(A) * (len(A) - 1))
+        return k.mean()
+
+    return float(term(X, X, True) + term(Y, Y, True) - 2.0 * term(X, Y, False))
 
 
 def mahalanobis(point, mean, covariance) -> float:
@@ -353,12 +366,15 @@ def pca_reconstruction_errors(model: PcaBasis, X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def permutation_pvalue(metric: str, X, Y, n_permutations: int = 199, seed: int = 0) -> float:
+def permutation_pvalue(
+    metric: str, X, Y, n_permutations: int = 199, seed: int = 0, *, sq_median: float | None = None
+) -> float:
     """Permutation p-value (1 + #{perm >= observed}) / (n_permutations + 1).
 
     ``metric`` is "energy" or "mmd2". K is the pooled matrix of pairwise
     distances (energy) or of the negated Gaussian kernel (MMD^2, bandwidth
-    fixed by the median heuristic on the original pooled sample), so a
+    fixed by the median heuristic on the original pooled sample; a caller
+    that already holds that squared median passes it as ``sq_median``), so a
     split's statistic is 2*sxy/(n*m) - sxx/n^2 - syy/m^2 with sxx, sxy, syy
     the sums of K over its x-x, x-y and y-y blocks.
 
@@ -369,8 +385,10 @@ def permutation_pvalue(metric: str, X, Y, n_permutations: int = 199, seed: int =
     1e-12 * (|between| + |within_x| + |within_y|) of the observed split's
     terms counts as >= it, so exact ties count whatever the rounding.
 
-    Cost: O(N^2 d) for K plus O(N^2 B) in one BLAS product (N = n+m,
-    B = n_permutations); memory stays O(N^2).
+    Cost: O(N^2 d) for K plus O(N^2 B) in BLAS products (N = n+m,
+    B = n_permutations). K is built in ``row_blocks`` that fill r and KS
+    and are freed, so memory is O(block*N + N*B), plus N(N-1)/2 floats when
+    the MMD median is computed here.
     """
     if n_permutations < 99:
         raise ValueError("n_permutations must be at least 99")
@@ -378,17 +396,12 @@ def permutation_pvalue(metric: str, X, Y, n_permutations: int = 199, seed: int =
     n, m = X.shape[0], Y.shape[0]
     N = n + m
     Z = np.vstack([X, Y])
-    K = sq_dists(Z, Z)
-    if metric == "energy":
-        np.sqrt(K, out=K)
-    elif metric == "mmd2":
-        sigma_sq = _median_offdiag(K)
-        if sigma_sq == 0.0:
+    if metric == "mmd2":
+        if sq_median is None:
+            sq_median = _pooled_sq_median(Z)
+        if sq_median == 0.0:
             return 1.0  # all points identical: every split ties the observed 0
-        np.divide(K, -2.0 * sigma_sq, out=K)
-        np.exp(K, out=K)
-        np.negative(K, out=K)  # negated kernel: the energy form gives +MMD^2
-    else:
+    elif metric != "energy":
         raise ValueError(f"unknown permutation metric {metric!r}")
 
     rng = np.random.default_rng(seed)
@@ -396,9 +409,21 @@ def permutation_pvalue(metric: str, X, Y, n_permutations: int = 199, seed: int =
     S[:n, 0] = 1.0
     for b in range(1, n_permutations + 1):
         S[rng.permutation(N)[:n], b] = 1.0
-    r = K.sum(axis=1)
+    r = np.empty(N)
+    KS = np.empty_like(S)
+    for start, stop in row_blocks(N, N):
+        K = sq_dists(Z[start:stop], Z)
+        if metric == "energy":
+            np.sqrt(K, out=K)
+        else:
+            np.divide(K, -2.0 * sq_median, out=K)
+            np.exp(K, out=K)
+            np.negative(K, out=K)  # negated kernel: the energy form gives +MMD^2
+        r[start:stop] = K.sum(axis=1)
+        KS[start:stop] = K @ S
+        del K  # freed before the next block is built
     sx = S.T @ r
-    sxx = np.einsum("ib,ib->b", S, K @ S)
+    sxx = np.einsum("ib,ib->b", S, KS)
     between = 2.0 * (sx - sxx) / (n * m)
     within_x = sxx / (n * n)
     within_y = (r.sum() - 2.0 * sx + sxx) / (m * m)
@@ -423,9 +448,26 @@ class _Samples:
     hist: HistogramPair | None
     cfg: "DriftScanConfig"
 
+    @cached_property
+    def sq_median(self) -> float:
+        """The pooled median squared distance of a multivariate block, taken
+        once and shared by its MMD^2 statistic and permutation test."""
+        return _pooled_sq_median(np.vstack(_check_pair(self.x, self.y)))
 
-def _pvalue(metric: str, s: _Samples) -> float:
-    return permutation_pvalue(metric, s.x, s.y, s.cfg.n_permutations, s.cfg.seed)
+
+def _pvalue(metric: str, s: _Samples, sq_median: float | None = None) -> float:
+    return permutation_pvalue(
+        metric, s.x, s.y, s.cfg.n_permutations, s.cfg.seed, sq_median=sq_median
+    )
+
+
+def _mmd2_test(s: _Samples) -> tuple[float, float]:
+    """MMD^2 and its p-value on the block's one median: its square root is
+    the bandwidth the "median" path computes; 0 (all points identical)
+    gives MMD^2 0, as there."""
+    sq = s.sq_median
+    statistic = mmd2(s.x, s.y, bandwidth=float(np.sqrt(sq))) if sq > 0.0 else 0.0
+    return statistic, _pvalue("mmd2", s, sq)
 
 
 def _pca_recon_ratio(s: _Samples) -> float:
@@ -468,9 +510,7 @@ METRICS = {
         ("multivariate",), "low", (0.05, 0.01),
         lambda s: (energy_distance(s.x, s.y), _pvalue("energy", s)),
     ),
-    "mmd2": Metric(
-        ("multivariate",), "low", (0.05, 0.01), lambda s: (mmd2(s.x, s.y), _pvalue("mmd2", s))
-    ),
+    "mmd2": Metric(("multivariate",), "low", (0.05, 0.01), lambda s: _mmd2_test(s)),
     "pca_recon": Metric(("multivariate",), "high", (2.0, 4.0), lambda s: _pca_recon_ratio(s)),
     "missing_fraction": Metric(("report",), "high", (0.2, 0.5)),
     "outlier_fraction": Metric(("report",), "high", (0.05, 0.10)),

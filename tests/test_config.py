@@ -110,6 +110,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.json")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet and Windows editors often write one; json.load refused it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(minimal_doc()), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = build_config(minimal_doc(), base_dir=tmp_path)
+        assert parse_config(path).effective == expected.effective
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -272,6 +272,13 @@ def test_complete_matrix_rejects_a_missing_cell():
     np.testing.assert_array_equal(complete_matrix(complete, "LOF"), [[1.0], [2.0], [3.0]])
 
 
+def test_complete_matrix_rejects_a_frame_with_no_numeric_column():
+    # every distance would be 0, so each caller reported a clean result
+    frame = make_frame(grade=["a", "b", "a", "c"])
+    with pytest.raises(SchemaError, match="^LOF needs at least one numeric feature$"):
+        complete_matrix(frame, "LOF")
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
 def test_complete_matrix_rejects_an_infinite_cell(bad):
     frame = make_frame(a=[1.0, bad, 3.0], b=[1.0, 2.0, 3.0])

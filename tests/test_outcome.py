@@ -142,6 +142,12 @@ class TestKmeans:
         with pytest.raises(SchemaError, match="^kmeans requires a frame with no infinite values$"):
             kmeans(FeatureFrame.from_numeric(X), k=3)
 
+    def test_no_numeric_column_is_a_schema_error(self):
+        # a categorical-only frame put every row in cluster 0 with inertia 0
+        frame = make_frame(grade=["a", "b", "c", "a"] * 10)
+        with pytest.raises(SchemaError, match="^kmeans needs at least one numeric feature$"):
+            kmeans(frame, k=3)
+
 
 class TestSegmentMetrics:
     def test_perfect_predictions_degenerate_lift(self):

@@ -265,6 +265,12 @@ class TestLof:
         with pytest.raises(SchemaError, match="^LOF requires a frame with no infinite values$"):
             outliers_lof(FeatureFrame.from_numeric(X), k=5)
 
+    def test_no_numeric_column_is_a_schema_error(self):
+        # a categorical-only frame scored 1.0 everywhere with no flags
+        frame = make_frame(grade=["a", "b", "c", "a"] * 10)
+        with pytest.raises(SchemaError, match="^LOF needs at least one numeric feature$"):
+            outliers_lof(frame, k=5)
+
     @pytest.mark.parametrize("data", ["continuous", "grid"])
     @pytest.mark.parametrize("blocks", ["one-row", "smallest", "ragged"])
     def test_row_blocks_give_the_single_block_bits(self, blocks, data, monkeypatch):
@@ -343,3 +349,9 @@ class TestPcaMahalanobis:
         X[7, 1] = -np.inf
         with pytest.raises(SchemaError, match="^PCA-Mahalanobis requires a frame with no infinite values$"):
             outliers_pca_mahalanobis(FeatureFrame.from_numeric(X))
+
+    def test_no_numeric_column_is_a_schema_error(self):
+        # a categorical-only frame gave all-zero distances, no flags and only a warning
+        frame = make_frame(grade=["a", "b", "c", "a"] * 10)
+        with pytest.raises(SchemaError, match="^PCA-Mahalanobis needs at least one numeric feature$"):
+            outliers_pca_mahalanobis(frame)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modelwatch import shift
+from modelwatch._geometry import sq_dists
 from modelwatch.data import CategoricalColumn, FeatureFrame, NumericColumn
-from modelwatch.errors import DimensionMismatch, EmptySample
+from modelwatch.errors import DimensionMismatch, EmptySample, SchemaError
 from modelwatch.shift import (
     DEFAULT_EPSILON,
     DriftScanConfig,
@@ -437,6 +439,90 @@ class TestPermutationKernel:
         expected = float(np.sqrt(np.median(sq[np.triu_indices(60, k=1)])))
         assert median_heuristic_bandwidth(X, Y) == expected
 
+    # two row blocks; a block's cells equal the whole matrix's where the
+    # pooled row count is a multiple of 8 or the data lie on an integer
+    # grid (exact products)
+    @pytest.mark.parametrize("n, m, grid", [(600, 600, False), (600, 613, True)])
+    def test_median_bandwidth_matches_triangle_indexing_beyond_one_block(self, n, m, grid):
+        r = np.random.default_rng(n + m)
+        X, Y = r.normal(size=(n, 3)), r.normal(size=(m, 3))
+        if grid:
+            X, Y = np.round(2 * X), np.round(2 * Y)
+        sq = _pooled_sq_dists(X, Y)
+        expected = float(np.sqrt(np.median(sq[np.triu_indices(n + m, k=1)])))
+        assert median_heuristic_bandwidth(X, Y) == expected
+
+
+def _dense_statistics(X, Y, n_permutations, seed):
+    """The unblocked path the row-blocked kernels replaced: one pooled
+    ``sq_dists(Z, Z)``, its masked upper-triangle median and the full
+    ``K @ S``. Returns the pooled squared median, mmd2 on it, and the energy
+    and mmd2 permutation p-values."""
+    n, m = X.shape[0], Y.shape[0]
+    N = n + m
+    Z = np.vstack([X, Y])
+    idx = np.arange(N)
+    sq_median = float(np.median(sq_dists(Z, Z)[idx[:, None] < idx[None, :]]))
+    sigma = float(np.sqrt(sq_median))
+    gamma = 1.0 / (2.0 * sigma * sigma)
+    k_xx = np.exp(-gamma * sq_dists(X, X))
+    k_yy = np.exp(-gamma * sq_dists(Y, Y))
+    k_xy = np.exp(-gamma * sq_dists(X, Y))
+    statistic = float(k_xx.mean() + k_yy.mean() - 2.0 * k_xy.mean())
+
+    rng = np.random.default_rng(seed)
+    S = np.zeros((N, n_permutations + 1))
+    S[:n, 0] = 1.0
+    for b in range(1, n_permutations + 1):
+        S[rng.permutation(N)[:n], b] = 1.0
+    pvalues = {}
+    for metric in ("energy", "mmd2"):
+        K = sq_dists(Z, Z)
+        K = np.sqrt(K) if metric == "energy" else -np.exp(K / (-2.0 * sq_median))
+        r = K.sum(axis=1)
+        sx = S.T @ r
+        sxx = np.einsum("ib,ib->b", S, K @ S)
+        between = 2.0 * (sx - sxx) / (n * m)
+        within_x = sxx / (n * n)
+        within_y = (r.sum() - 2.0 * sx + sxx) / (m * m)
+        stats = between - within_x - within_y
+        tol = 1e-12 * (abs(between[0]) + abs(within_x[0]) + abs(within_y[0]))
+        pvalues[metric] = (1 + int(np.count_nonzero(stats[1:] >= stats[0] - tol))) / (n_permutations + 1)
+    return sq_median, statistic, pvalues
+
+
+class TestBlockedKernels:
+    """Row-blocked pooled kernels against the dense path, beyond one block
+    (1024 pooled rows), with the pooled row count a multiple of 8 and not.
+
+    p-values are held equal. The median (so the bandwidth and the mmd2
+    statistic) is held to the same bits where every block cell equals the
+    dense cell: a pooled row count that is a multiple of 8, or integer-grid
+    data, whose products are exact. Otherwise the BLAS may give the last
+    N % 8 columns of a block other last bits than the full product, and the
+    median is held to 1e-12 relative."""
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["continuous", "grid"])
+    @pytest.mark.parametrize("n, m", [(1100, 1100), (1500, 1513)])
+    def test_match_the_dense_path(self, n, m, grid):
+        r = np.random.default_rng(n + m)
+        X = r.normal(size=(n, 3))
+        Y = r.normal(size=(m, 3)) * 1.05 + 0.05
+        if grid:
+            X, Y = np.round(2 * X), np.round(2 * Y)
+        sq_median, statistic, pvalues = _dense_statistics(X, Y, 99, seed=4)
+
+        got = shift._pooled_sq_median(np.vstack([X, Y]))
+        if (n + m) % 8 == 0 or grid:
+            assert got == sq_median
+            assert mmd2(X, Y) == statistic
+        else:
+            assert got == pytest.approx(sq_median, rel=1e-12, abs=0)
+            assert mmd2(X, Y) == pytest.approx(statistic, rel=1e-12, abs=0)
+        for metric in ("energy", "mmd2"):
+            assert permutation_pvalue(metric, X, Y, 99, seed=4) == pvalues[metric], metric
+        assert permutation_pvalue("mmd2", X, Y, 99, seed=4, sq_median=sq_median) == pvalues["mmd2"]
+
 
 class TestFrequencyPair:
     def test_union_categories_and_order(self):
@@ -602,6 +688,29 @@ class TestDriftScan:
             assert energy_distance(X, Y) >= 0
             assert mmd2(X, Y) >= 0
 
+    def test_multivariate_block_takes_the_pooled_median_once(self, rng, monkeypatch):
+        X, Y = rng.normal(size=(60, 3)), rng.normal(size=(50, 3)) + 0.3
+        ref = make_scored(make_frame(a=X[:, 0], b=X[:, 1], c=X[:, 2]), np.zeros(60), np.zeros(60))
+        cur = make_scored(make_frame(a=Y[:, 0], b=Y[:, 1], c=Y[:, 2]), np.zeros(50), np.zeros(50))
+        cfg = DriftScanConfig(numeric_metrics=(), multivariate_metrics=("energy", "mmd2"), n_permutations=99)
+        calls = []
+        original = shift._pooled_sq_median
+        monkeypatch.setattr(shift, "_pooled_sq_median", lambda Z: calls.append(len(Z)) or original(Z))
+        result = drift_scan(ref, cur, cfg)[-1]
+        assert calls == [110]
+        # the shared median gives the bits of the public calls, which take their own
+        assert result.metric == "mmd2"
+        assert result.statistic == mmd2(X, Y)
+        assert result.p_value == permutation_pvalue("mmd2", X, Y, 99, cfg.seed)
+        assert len(calls) == 3
+
+    def test_multivariate_block_of_identical_points(self):
+        # a zero median bandwidth defines MMD^2 as 0, and every split ties it
+        ds = make_scored(make_frame(a=np.ones(20), b=np.full(20, 2.0)), np.zeros(20), np.zeros(20))
+        cfg = DriftScanConfig(numeric_metrics=(), multivariate_metrics=("mmd2",), n_permutations=99)
+        (result,) = drift_scan(ds, ds, cfg)
+        assert (result.statistic, result.p_value, result.verdict) == (0.0, 1.0, "pass")
+
     def test_results_follow_column_order(self, rng):
         ds = make_scored(
             make_frame(b=rng.normal(size=50), a=rng.normal(size=50)),
@@ -611,6 +720,29 @@ class TestDriftScan:
         results = drift_scan(ds, ds, DriftScanConfig(multivariate_metrics=()))
         features = [r.feature for r in results]
         assert features == sorted(features, key=lambda f: ["b", "a"].index(f))
+
+
+MULTIVARIATE_CALLS = {
+    "energy_distance": energy_distance,
+    "mmd2": mmd2,
+    "median_heuristic_bandwidth": median_heuristic_bandwidth,
+    "energy permutation_pvalue": lambda X, Y: permutation_pvalue("energy", X, Y, 99),
+    "mmd2 permutation_pvalue": lambda X, Y: permutation_pvalue("mmd2", X, Y, 99),
+}
+
+
+class TestNonFiniteMultivariateInput:
+    # one inf in Y made energy and mmd2 NaN, and both permutation tests then
+    # gave p = 0.005: a "fail" that meant nothing
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", MULTIVARIATE_CALLS)
+    def test_is_a_schema_error(self, name, bad):
+        rng = np.random.default_rng(0)
+        X, Y = rng.normal(size=(50, 2)), rng.normal(size=(50, 2))
+        Y[7, 1] = bad
+        kind = "missing" if np.isnan(bad) else "infinite"
+        with pytest.raises(SchemaError, match=f"^multivariate statistics require samples with no {kind} values$"):
+            MULTIVARIATE_CALLS[name](X, Y)
 
 
 class TestNonFiniteStatistics:

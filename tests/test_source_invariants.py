@@ -57,6 +57,30 @@ def test_pairwise_differences_only_in_geometry_module():
     assert found == []
 
 
+def test_no_pooled_matrix_in_shift_module():
+    # the pooled N x N distance (or kernel) matrix is never held whole: every
+    # sq_dists call on the pooled sample Z sits in a loop over row_blocks
+    tree = ast.parse((PACKAGE / "shift.py").read_text(encoding="utf-8"))
+
+    def calls(node, name):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+    blocked = {
+        id(node)
+        for loop in ast.walk(tree)
+        if isinstance(loop, ast.For) and calls(loop.iter, "row_blocks")
+        for node in ast.walk(loop)
+    }
+    pooled = [
+        node
+        for node in ast.walk(tree)
+        if calls(node, "sq_dists")
+        and any(isinstance(n, ast.Name) and n.id == "Z" for arg in node.args for n in ast.walk(arg))
+    ]
+    assert pooled, "no pooled sq_dists call left to check"
+    assert [f"shift.py:{node.lineno}" for node in pooled if id(node) not in blocked] == []
+
+
 def test_segment_scoring_only_in_outcome_module():
     # metric choice, the per-group rule and quantile edges are written once,
     # in outcome.py; concept.py reaches them through its shared helpers
