@@ -19,6 +19,7 @@ from .data import CategoricalColumn, FeatureFrame, NumericColumn, ScoredDataset
 from .errors import (
     InvariantViolation,
     KExceedsRows,
+    LengthMismatch,
     MetricIncompatible,
     SchemaError,
     SchemaMismatch,
@@ -325,7 +326,7 @@ def kmeans(
 
     Deterministic for fixed inputs and seed. Empty clusters are re-seeded
     from the point farthest from its assigned centroid. Iterates until the
-    largest centroid movement falls below ``tol`` or ``max_iter`` is hit.
+    largest centroid movement is 0 or below ``tol``, or ``max_iter`` is hit.
     Seeding and every Lloyd step take ``_geometry.exact_sq_dists``: no BLAS
     call, so a step's time and bits do not depend on BLAS threads.
     """
@@ -364,19 +365,15 @@ def kmeans(
         prev_inertia = inertia
 
         new_centroids = centroids.copy()
-        for j in range(k):
-            members = ids == j
-            if members.any():
-                new_centroids[j] = Z[members].mean(axis=0)
-        empty = [j for j in range(k) if not np.any(ids == j)]
-        if empty:
-            dist_to_own = d2[ids, rows]
-            farthest = np.argsort(-dist_to_own, kind="stable")
-            for slot, j in enumerate(empty):
-                new_centroids[j] = Z[farthest[slot]]
+        counts = np.bincount(ids, minlength=k)
+        for j in np.flatnonzero(counts):
+            new_centroids[j] = Z[ids == j].mean(axis=0)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:  # re-seeded from the rows farthest from their centroids
+            new_centroids[empty] = Z[np.argsort(-d2[ids, rows], kind="stable")[: empty.size]]
         movement = float(np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1))))
         centroids = new_centroids
-        if movement < tol:
+        if movement < tol or movement == 0.0:  # 0: a fixed point, every later step repeats it
             break
 
     d2 = exact_sq_dists(centroids, Z)
@@ -511,21 +508,33 @@ def fit_gap(
 # ---------------------------------------------------------------------------
 
 
+def _baseline(model: Scorer, frame: FeatureFrame, baseline: np.ndarray | None) -> np.ndarray:
+    """``baseline``, one prediction per row of ``frame``, or if None the model's."""
+    if baseline is None:
+        return np.asarray(model.predict(frame), dtype=np.float64)
+    baseline = np.asarray(baseline, dtype=np.float64)
+    if baseline.shape != (frame.n_rows,):
+        raise LengthMismatch(f"baseline of shape {baseline.shape} for {frame.n_rows} rows")
+    return baseline
+
+
 def perturbation_test(
     model: Scorer,
     frame: FeatureFrame,
     noise_fraction: float = 0.05,
     n_repeats: int = 5,
     seed: int = 0,
+    *, baseline: np.ndarray | None = None,
 ) -> SensitivityReport:
     """Noise-sensitivity test: perturb one feature at a time and rescore.
 
     Each numeric feature independently receives Gaussian noise with
     std = noise_fraction * feature std while the others stay fixed;
-    |prediction delta| statistics are pooled over rows and repeats.
-    Deterministic for a fixed seed.
+    |prediction delta| statistics against ``baseline`` (the model's
+    predictions on ``frame``, scored here if None) are pooled over rows and
+    repeats. Deterministic for a fixed seed.
     """
-    baseline = np.asarray(model.predict(frame), dtype=np.float64)
+    baseline = _baseline(model, frame, baseline)
     rng = np.random.default_rng(seed)
     rows = []
     for name in frame.numeric_names():
@@ -559,12 +568,14 @@ def invariance_test(
     mode: str = "permute",
     seed: int = 0,
     tolerance: float = 1e-9,
+    *, baseline: np.ndarray | None = None,
 ) -> InvarianceReport:
     """Alter declared-irrelevant features and check predictions stand still.
 
     ``permute`` shuffles each irrelevant column with the run seed;
     ``constant`` sets it to its median (numeric) or mode (categorical).
-    Rows whose |prediction delta| exceeds ``tolerance`` are reported.
+    Rows whose |prediction delta| from ``baseline`` (as in
+    ``perturbation_test``) exceeds ``tolerance`` are reported.
     """
     if mode not in ("permute", "constant"):
         raise ValueError(f"unknown invariance mode {mode!r}")
@@ -574,7 +585,7 @@ def invariance_test(
     if not irrelevant:
         return InvarianceReport(0.0, 0.0, [], tolerance, mode)
 
-    baseline = np.asarray(model.predict(frame), dtype=np.float64)
+    baseline = _baseline(model, frame, baseline)
     rng = np.random.default_rng(seed)
     altered = frame
     for name in irrelevant:

@@ -371,13 +371,10 @@ def robustness_section(cfg: MonitorConfig, current: ScoredDataset) -> dict:
     if cfg.model.command is None:
         return {"status": "not_configured"}
     model = ExternalModel(cfg.model.command, cfg.model.timeout)
-    rob = cfg.robustness
+    rob, frame = cfg.robustness, current.frame
+    baseline = model.predict(frame)  # scored once, for both tests
     sensitivity = outcome.perturbation_test(
-        model,
-        current.frame,
-        noise_fraction=rob.noise_fraction,
-        n_repeats=rob.n_repeats,
-        seed=cfg.seed,
+        model, frame, rob.noise_fraction, rob.n_repeats, seed=cfg.seed, baseline=baseline
     )
     section: dict = {
         "status": "ok",
@@ -394,12 +391,8 @@ def robustness_section(cfg: MonitorConfig, current: ScoredDataset) -> dict:
     }
     if rob.irrelevant_features:
         inv = outcome.invariance_test(
-            model,
-            current.frame,
-            rob.irrelevant_features,
-            mode=rob.invariance_mode,
-            seed=cfg.seed,
-            tolerance=rob.tolerance,
+            model, frame, rob.irrelevant_features, mode=rob.invariance_mode, seed=cfg.seed,
+            tolerance=rob.tolerance, baseline=baseline,
         )
         section["invariance"] = {
             "subject": "invariance",

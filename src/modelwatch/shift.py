@@ -6,12 +6,12 @@ distance, Gaussian-kernel MMD, Mahalanobis distance, and PCA reconstruction
 error, with permutation-based significance for the two-sample statistics.
 The permutation test scores every split of the pooled sample at once: the
 splits are the columns of a 0/1 indicator matrix, and one matrix product
-with the pooled distance (or kernel) matrix gives all their statistics in
-O(N^2 B) BLAS work for N pooled rows and B permutations. The pooled matrix
-is built in row blocks and never held whole, so memory is O(block*N + N*B),
-plus N(N-1)/2 floats for the MMD median bandwidth, which the drift scan
-takes once per multivariate block. A permuted statistic that ties the
-observed one up to rounding counts as >= it.
+with the pooled distance (or kernel) matrix, built in row blocks, gives all
+their statistics in O(N^2 B) BLAS work for N pooled rows and B permutations
+and the observed statistic by plain sums. So a drift scan builds the pooled
+matrix once per test, plus once for the MMD median (one partition of
+N(N-1)/2 floats); memory is O(block*N + N*B) plus that vector. A permuted
+statistic tying the observed one up to rounding counts as >= it.
 
 Conventions: KL is reported in nats; JSD in bits so it is bounded by 1.
 PSI is the index sum((p - q) * ln(p / q)), a symmetrized KL distinct from
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -238,7 +237,8 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def _check_pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
+def _pooled(X, Y) -> tuple[np.ndarray, int]:
+    """The pooled sample, X's rows then Y's, and X's row count."""
     X, Y = _as_matrix(X), _as_matrix(Y)
     if X.shape[1] != Y.shape[1]:
         raise DimensionMismatch(f"column counts differ: {X.shape[1]} vs {Y.shape[1]}")
@@ -247,7 +247,39 @@ def _check_pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         kind = "missing values" if np.isnan(X).any() or np.isnan(Y).any() else "infinite values"
         raise SchemaError(f"multivariate statistics require samples with no {kind}")
-    return X, Y
+    return np.vstack([X, Y]), len(X)
+
+
+def _pooled_pass(Z: np.ndarray, n: int, sq_median: float | None, S=None, unbiased: bool = False):
+    """(statistic, r = K 1, K S) for the pooled matrix K of Z's first n rows
+    (x) and the rest (y): distances, or with ``sq_median`` the negated kernel
+    -exp(d^2 / (-2 sq_median)). Its row blocks are reduced and freed. The
+    statistic 2*sxy/(n*m) - sxx/n^2 - syy/m^2 (sums of K over the x-x, x-y,
+    y-y blocks) comes from plain column sums, so it does not depend on S;
+    ``unbiased`` drops the diagonal and divides by n(n-1) and m(m-1)."""
+    N, m = len(Z), len(Z) - n
+    r, rx, ry, diagonal = np.empty(N), np.empty(N), np.empty(N), np.empty(N)
+    KS = None if S is None else np.empty_like(S)
+    for start, stop in row_blocks(N, N):
+        K = sq_dists(Z[start:stop], Z)
+        if sq_median is None:
+            np.sqrt(K, out=K)
+        else:
+            np.divide(K, -2.0 * sq_median, out=K)
+            np.exp(K, out=K)
+            np.negative(K, out=K)  # negated kernel: the energy form gives +MMD^2
+        r[start:stop] = K.sum(axis=1)
+        rx[start:stop], ry[start:stop] = K[:, :n].sum(axis=1), K[:, n:].sum(axis=1)
+        diagonal[start:stop] = K.diagonal(start)
+        if S is not None:
+            KS[start:stop] = K @ S
+        del K  # freed before the next block is built
+    sxx, sxy, syy = rx[:n].sum(), ry[:n].sum(), ry[n:].sum()
+    if unbiased:
+        within = (sxx - diagonal[:n].sum()) / (n * (n - 1)) + (syy - diagonal[n:].sum()) / (m * (m - 1))
+    else:
+        within = sxx / (n * n) + syy / (m * m)
+    return float(2.0 * sxy / (n * m) - within), r, KS
 
 
 def energy_distance(X, Y) -> float:
@@ -256,11 +288,7 @@ def energy_distance(X, Y) -> float:
     All pairwise Euclidean distances enter the within-sample means,
     including the zero self-pairs, so identical sample sets give exactly 0.
     """
-    X, Y = _check_pair(X, Y)
-    d_xy = np.sqrt(sq_dists(X, Y)).mean()
-    d_xx = np.sqrt(sq_dists(X, X)).mean()
-    d_yy = np.sqrt(sq_dists(Y, Y)).mean()
-    return float(2.0 * d_xy - d_xx - d_yy)
+    return _pooled_pass(*_pooled(X, Y), None)[0]
 
 
 def _pooled_sq_median(Z: np.ndarray) -> float:
@@ -269,7 +297,8 @@ def _pooled_sq_median(Z: np.ndarray) -> float:
     The matrix is built in row blocks, and each row's entries right of the
     diagonal are copied, in row-major order (that of a triangle-index
     lookup), into one vector of N(N-1)/2 floats, so the N x N matrix is
-    never held.
+    never held. One partition then selects ``np.median``'s order statistics
+    (the entries are finite, so its NaN probe is not needed).
     """
     N = len(Z)
     upper = np.empty(N * (N - 1) // 2)
@@ -280,46 +309,41 @@ def _pooled_sq_median(Z: np.ndarray) -> float:
             upper[at : at + N - 1 - i] = block[i - start, i + 1 :]
             at += N - 1 - i
         del block  # freed before the next block is built
-    return float(np.median(upper, overwrite_input=True))
+    k = len(upper) // 2
+    upper.partition(k)
+    if len(upper) % 2:
+        return float(upper[k])
+    return float(np.mean([upper[:k].max(), upper[k]]))
 
 
 def median_heuristic_bandwidth(X, Y) -> float:
     """Median of the off-diagonal pairwise distances of the pooled sample."""
-    X, Y = _check_pair(X, Y)
-    return float(np.sqrt(_pooled_sq_median(np.vstack([X, Y]))))
+    return float(np.sqrt(_pooled_sq_median(_pooled(X, Y)[0])))
 
 
 def mmd2(X, Y, bandwidth: float | str = "median", unbiased: bool = False) -> float:
     """Squared maximum mean discrepancy with a Gaussian kernel.
 
     ``bandwidth`` is the kernel sigma in exp(-||a-b||^2 / (2 sigma^2)), or
-    "median" for the median heuristic on the pooled sample. The default
-    biased V-statistic is exactly 0 for identical sample sets; the unbiased
-    U-statistic drops the diagonal terms. All points identical makes the
-    median bandwidth 0, in which case MMD^2 is defined as 0. The three
-    kernel blocks are built and reduced one at a time.
+    "median" for the median heuristic on the pooled sample (its squared
+    median is sigma^2). The default biased V-statistic is exactly 0 for
+    identical sample sets; the unbiased U-statistic drops the diagonal
+    terms. All points identical makes the median bandwidth 0, in which case
+    MMD^2 is defined as 0.
     """
-    X, Y = _check_pair(X, Y)
-    n, m = X.shape[0], Y.shape[0]
-    if unbiased and (n < 2 or m < 2):
+    Z, n = _pooled(X, Y)
+    if unbiased and (n < 2 or len(Z) - n < 2):
         raise EmptySample("unbiased MMD^2 needs at least 2 rows per sample")
     if bandwidth == "median":
-        sigma = median_heuristic_bandwidth(X, Y)
-        if sigma == 0.0:
+        sq_median = _pooled_sq_median(Z)
+        if sq_median == 0.0:
             return 0.0
     else:
         sigma = float(bandwidth)
         if sigma <= 0:
             raise ValueError("bandwidth must be positive")
-    gamma = 1.0 / (2.0 * sigma * sigma)
-
-    def term(A: np.ndarray, B: np.ndarray, within: bool) -> float:
-        k = np.exp(-gamma * sq_dists(A, B))
-        if unbiased and within:
-            return (k.sum() - np.trace(k)) / (len(A) * (len(A) - 1))
-        return k.mean()
-
-    return float(term(X, X, True) + term(Y, Y, True) - 2.0 * term(X, Y, False))
+        sq_median = sigma * sigma
+    return _pooled_pass(Z, n, sq_median, unbiased=unbiased)[0]
 
 
 def mahalanobis(point, mean, covariance) -> float:
@@ -367,16 +391,20 @@ def pca_reconstruction_errors(model: PcaBasis, X) -> np.ndarray:
 
 
 def permutation_pvalue(
-    metric: str, X, Y, n_permutations: int = 199, seed: int = 0, *, sq_median: float | None = None
-) -> float:
-    """Permutation p-value (1 + #{perm >= observed}) / (n_permutations + 1).
+    metric: str, X, Y, n_permutations: int = 199, seed: int = 0, *,
+    sq_median: float | None = None, with_statistic: bool = False,
+) -> float | tuple[float, float]:
+    """Permutation p-value (1 + #{perm >= observed}) / (n_permutations + 1),
+    or with ``with_statistic`` the pair (observed statistic, p-value).
 
     ``metric`` is "energy" or "mmd2". K is the pooled matrix of pairwise
     distances (energy) or of the negated Gaussian kernel (MMD^2, bandwidth
     fixed by the median heuristic on the original pooled sample; a caller
     that already holds that squared median passes it as ``sq_median``), so a
     split's statistic is 2*sxy/(n*m) - sxx/n^2 - syy/m^2 with sxx, sxy, syy
-    the sums of K over its x-x, x-y and y-y blocks.
+    the sums of K over its x-x, x-y and y-y blocks. The one pass over K
+    (``_pooled_pass``) also gives the observed statistic, with the bits of
+    ``energy_distance(X, Y)`` or ``mmd2(X, Y)``.
 
     All splits are scored at once. Column 0 of the 0/1 indicator matrix S
     marks the observed x rows, column b the first n entries of the b-th
@@ -386,21 +414,20 @@ def permutation_pvalue(
     terms counts as >= it, so exact ties count whatever the rounding.
 
     Cost: O(N^2 d) for K plus O(N^2 B) in BLAS products (N = n+m,
-    B = n_permutations). K is built in ``row_blocks`` that fill r and KS
-    and are freed, so memory is O(block*N + N*B), plus N(N-1)/2 floats when
-    the MMD median is computed here.
+    B = n_permutations); memory O(block*N + N*B), plus N(N-1)/2 floats when
+    the MMD median is computed here. At 1000+1000 rows of 5 features and
+    B = 199 on 2 vCPUs: about 0.06 s for energy, 0.1 s for MMD^2 with its
+    median (0.03 s of it).
     """
     if n_permutations < 99:
         raise ValueError("n_permutations must be at least 99")
-    X, Y = _check_pair(X, Y)
-    n, m = X.shape[0], Y.shape[0]
-    N = n + m
-    Z = np.vstack([X, Y])
+    Z, n = _pooled(X, Y)
+    N, m = len(Z), len(Z) - n
     if metric == "mmd2":
         if sq_median is None:
             sq_median = _pooled_sq_median(Z)
-        if sq_median == 0.0:
-            return 1.0  # all points identical: every split ties the observed 0
+        if sq_median == 0.0:  # all points identical: MMD^2 is 0 and every split ties it
+            return (0.0, 1.0) if with_statistic else 1.0
     elif metric != "energy":
         raise ValueError(f"unknown permutation metric {metric!r}")
 
@@ -409,19 +436,7 @@ def permutation_pvalue(
     S[:n, 0] = 1.0
     for b in range(1, n_permutations + 1):
         S[rng.permutation(N)[:n], b] = 1.0
-    r = np.empty(N)
-    KS = np.empty_like(S)
-    for start, stop in row_blocks(N, N):
-        K = sq_dists(Z[start:stop], Z)
-        if metric == "energy":
-            np.sqrt(K, out=K)
-        else:
-            np.divide(K, -2.0 * sq_median, out=K)
-            np.exp(K, out=K)
-            np.negative(K, out=K)  # negated kernel: the energy form gives +MMD^2
-        r[start:stop] = K.sum(axis=1)
-        KS[start:stop] = K @ S
-        del K  # freed before the next block is built
+    statistic, r, KS = _pooled_pass(Z, n, sq_median if metric == "mmd2" else None, S)
     sx = S.T @ r
     sxx = np.einsum("ib,ib->b", S, KS)
     between = 2.0 * (sx - sxx) / (n * m)
@@ -429,8 +444,8 @@ def permutation_pvalue(
     within_y = (r.sum() - 2.0 * sx + sxx) / (m * m)
     stats = between - within_x - within_y
     tol = 1e-12 * (abs(between[0]) + abs(within_x[0]) + abs(within_y[0]))
-    count = int(np.count_nonzero(stats[1:] >= stats[0] - tol))
-    return (1 + count) / (n_permutations + 1)
+    p_value = (1 + int(np.count_nonzero(stats[1:] >= stats[0] - tol))) / (n_permutations + 1)
+    return (statistic, p_value) if with_statistic else p_value
 
 
 # ---------------------------------------------------------------------------
@@ -448,26 +463,10 @@ class _Samples:
     hist: HistogramPair | None
     cfg: "DriftScanConfig"
 
-    @cached_property
-    def sq_median(self) -> float:
-        """The pooled median squared distance of a multivariate block, taken
-        once and shared by its MMD^2 statistic and permutation test."""
-        return _pooled_sq_median(np.vstack(_check_pair(self.x, self.y)))
 
-
-def _pvalue(metric: str, s: _Samples, sq_median: float | None = None) -> float:
-    return permutation_pvalue(
-        metric, s.x, s.y, s.cfg.n_permutations, s.cfg.seed, sq_median=sq_median
-    )
-
-
-def _mmd2_test(s: _Samples) -> tuple[float, float]:
-    """MMD^2 and its p-value on the block's one median: its square root is
-    the bandwidth the "median" path computes; 0 (all points identical)
-    gives MMD^2 0, as there."""
-    sq = s.sq_median
-    statistic = mmd2(s.x, s.y, bandwidth=float(np.sqrt(sq))) if sq > 0.0 else 0.0
-    return statistic, _pvalue("mmd2", s, sq)
+def _permutation_test(metric: str, s: _Samples) -> tuple[float, float]:
+    """The block's statistic and p-value, from one pooled pass."""
+    return permutation_pvalue(metric, s.x, s.y, s.cfg.n_permutations, s.cfg.seed, with_statistic=True)
 
 
 def _pca_recon_ratio(s: _Samples) -> float:
@@ -506,11 +505,8 @@ METRICS = {
     "wasserstein1": Metric(
         ("numeric",), "high", (0.1, 0.25), lambda s: wasserstein1(s.x, s.y), scaled=True
     ),
-    "energy": Metric(
-        ("multivariate",), "low", (0.05, 0.01),
-        lambda s: (energy_distance(s.x, s.y), _pvalue("energy", s)),
-    ),
-    "mmd2": Metric(("multivariate",), "low", (0.05, 0.01), lambda s: _mmd2_test(s)),
+    "energy": Metric(("multivariate",), "low", (0.05, 0.01), lambda s: _permutation_test("energy", s)),
+    "mmd2": Metric(("multivariate",), "low", (0.05, 0.01), lambda s: _permutation_test("mmd2", s)),
     "pca_recon": Metric(("multivariate",), "high", (2.0, 4.0), lambda s: _pca_recon_ratio(s)),
     "missing_fraction": Metric(("report",), "high", (0.2, 0.5)),
     "outlier_fraction": Metric(("report",), "high", (0.05, 0.10)),

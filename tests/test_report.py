@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+from modelwatch import outcome
+from modelwatch import report as report_module
 from modelwatch.config import parse_config
 from modelwatch.report import (
     collect_alerts,
@@ -136,6 +138,42 @@ class TestRunMonitor:
         assert section["status"] == "ok"
         by_feature = {row["feature"]: row for row in section["sensitivity"]}
         assert by_feature["x0"]["mean_abs_delta"] > 0
+
+    def test_robustness_scores_the_current_frame_once(self, tmp_path, monkeypatch):
+        # the perturbation and invariance tests share one baseline call: 8
+        # scorer calls for 2 features x 3 repeats (each test scoring its own
+        # made 9), and the report bytes are those of tests that ignore it
+        calls = []
+
+        class CountingModel:
+            def __init__(self, command, timeout):
+                pass
+
+            def predict(self, frame):
+                calls.append(frame.n_rows)
+                return 2.0 * frame.column("x0").values - frame.column("x1").values ** 2
+
+        monkeypatch.setattr(report_module, "ExternalModel", CountingModel)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        overrides = {
+            "model": {"command": "counting-model"},
+            "robustness": {"n_repeats": 3, "irrelevant_features": ["x1"]},
+        }
+        cfg = parse_config(write_pipeline_fixture(tmp_path, shift=0.0, config_overrides=overrides))
+        shared = render_report(run_monitor(cfg), "json")
+        assert len(calls) == 8
+
+        def own_baseline(test):
+            return lambda *args, baseline=None, **kwargs: test(*args, **kwargs)
+
+        for name in ("perturbation_test", "invariance_test"):
+            monkeypatch.setattr(outcome, name, own_baseline(getattr(outcome, name)))
+        calls.clear()
+        assert render_report(run_monitor(cfg), "json") == shared
+        assert len(calls) == 1 + 8 + 1  # the section's call is then unused
+        robustness = json.loads(shared)["sections"]["robustness"]
+        assert robustness["status"] == "ok"
+        assert robustness["invariance"]["verdict"] == "fail"
 
     def test_broken_stage_marks_incomplete(self, tmp_path):
         # calibration path configured but pointing at a missing file:

@@ -1,3 +1,4 @@
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from modelwatch import shift
 from modelwatch._geometry import sq_dists
+from modelwatch.config import parse_config
 from modelwatch.data import CategoricalColumn, FeatureFrame, NumericColumn
 from modelwatch.errors import DimensionMismatch, EmptySample, SchemaError
+from modelwatch.report import run_monitor
 from modelwatch.shift import (
     DEFAULT_EPSILON,
     DriftScanConfig,
@@ -33,7 +36,7 @@ from modelwatch.shift import (
     wasserstein1,
 )
 
-from conftest import make_frame, make_scored
+from conftest import make_frame, make_scored, write_pipeline_fixture
 
 
 # --- independent oracles ---------------------------------------------------
@@ -495,12 +498,13 @@ class TestBlockedKernels:
     """Row-blocked pooled kernels against the dense path, beyond one block
     (1024 pooled rows), with the pooled row count a multiple of 8 and not.
 
-    p-values are held equal. The median (so the bandwidth and the mmd2
-    statistic) is held to the same bits where every block cell equals the
-    dense cell: a pooled row count that is a multiple of 8, or integer-grid
-    data, whose products are exact. Otherwise the BLAS may give the last
-    N % 8 columns of a block other last bits than the full product, and the
-    median is held to 1e-12 relative."""
+    p-values are held equal. The median (so the bandwidth) is held to the
+    same bits where every block cell equals the dense cell: a pooled row
+    count that is a multiple of 8, or integer-grid data, whose products are
+    exact. Otherwise the BLAS may give the last N % 8 columns of a block
+    other last bits than the full product, and the median is held to 1e-12
+    relative. The mmd2 statistic sums the kernel in another order than the
+    dense path's three means, so it is held to 1e-12 relative throughout."""
 
     @pytest.mark.parametrize("grid", [False, True], ids=["continuous", "grid"])
     @pytest.mark.parametrize("n, m", [(1100, 1100), (1500, 1513)])
@@ -515,13 +519,52 @@ class TestBlockedKernels:
         got = shift._pooled_sq_median(np.vstack([X, Y]))
         if (n + m) % 8 == 0 or grid:
             assert got == sq_median
-            assert mmd2(X, Y) == statistic
         else:
             assert got == pytest.approx(sq_median, rel=1e-12, abs=0)
-            assert mmd2(X, Y) == pytest.approx(statistic, rel=1e-12, abs=0)
+        assert mmd2(X, Y) == pytest.approx(statistic, rel=1e-12, abs=0)
         for metric in ("energy", "mmd2"):
             assert permutation_pvalue(metric, X, Y, 99, seed=4) == pvalues[metric], metric
         assert permutation_pvalue("mmd2", X, Y, 99, seed=4, sq_median=sq_median) == pvalues["mmd2"]
+
+
+def _masked_median(Z):
+    """``np.median`` of the strictly upper triangle of ``sq_dists(Z, Z)``:
+    the reduction ``_pooled_sq_median`` replaced."""
+    idx = np.arange(len(Z))
+    return float(np.median(sq_dists(Z, Z)[idx[:, None] < idx[None, :]]))
+
+
+class TestPooledSqMedian:
+    """The one-partition median against ``np.median`` on the same entries,
+    bit for bit: order statistics are values, so only the selection differs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 60),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["continuous", "grid", "duplicates"]),
+    )
+    def test_equals_np_median(self, N, d, seed, kind):
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(size=(N, d))
+        if kind == "grid":  # exact products, many tied distances
+            Z = np.round(2 * Z)
+        elif kind == "duplicates":  # repeated rows: zero distances and ties
+            Z = Z[rng.integers(0, max(1, N // 3), size=N)]
+        assert shift._pooled_sq_median(Z) == _masked_median(Z)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])  # 1, 3, 6 and 10 pairs: odd and even counts
+    def test_small_pair_counts(self, N):
+        Z = np.arange(N * 2, dtype=float).reshape(N, 2) ** 1.5
+        assert shift._pooled_sq_median(Z) == _masked_median(Z)
+
+    # beyond one block (1024 rows), with an even (604450) and an odd (606651)
+    # pair count; grid data, so every block cell equals the dense cell
+    @pytest.mark.parametrize("N", [1100, 1102])
+    def test_beyond_one_block(self, N):
+        Z = np.round(2 * np.random.default_rng(N).normal(size=(N, 3)))
+        assert shift._pooled_sq_median(Z) == _masked_median(Z)
 
 
 class TestFrequencyPair:
@@ -696,13 +739,17 @@ class TestDriftScan:
         calls = []
         original = shift._pooled_sq_median
         monkeypatch.setattr(shift, "_pooled_sq_median", lambda Z: calls.append(len(Z)) or original(Z))
-        result = drift_scan(ref, cur, cfg)[-1]
+        energy, result = drift_scan(ref, cur, cfg)[-2:]
         assert calls == [110]
         # the shared median gives the bits of the public calls, which take their own
         assert result.metric == "mmd2"
         assert result.statistic == mmd2(X, Y)
         assert result.p_value == permutation_pvalue("mmd2", X, Y, 99, cfg.seed)
         assert len(calls) == 3
+        # the statistics come from the permutation passes, with the public calls' bits
+        assert energy.metric == "energy"
+        assert energy.statistic == energy_distance(X, Y)
+        assert energy.p_value == permutation_pvalue("energy", X, Y, 99, cfg.seed)
 
     def test_multivariate_block_of_identical_points(self):
         # a zero median bandwidth defines MMD^2 as 0, and every split ties it
@@ -710,6 +757,22 @@ class TestDriftScan:
         cfg = DriftScanConfig(numeric_metrics=(), multivariate_metrics=("mmd2",), n_permutations=99)
         (result,) = drift_scan(ds, ds, cfg)
         assert (result.statistic, result.p_value, result.verdict) == (0.0, 1.0, "pass")
+
+    def test_monitored_scan_takes_statistics_from_the_permutation_passes(self, tmp_path, monkeypatch):
+        # one pooled pass per test plus one median; no separate statistic call
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(shift, name)
+            return lambda *args, **kwargs: calls.update([name]) or original(*args, **kwargs)
+
+        for name in ("permutation_pvalue", "_pooled_sq_median", "energy_distance", "mmd2"):
+            monkeypatch.setattr(shift, name, counted(name))
+        drift = {"multivariate_metrics": ["energy", "mmd2"], "n_permutations": 99}
+        report = run_monitor(parse_config(write_pipeline_fixture(tmp_path, 0.3, {"drift": drift})))
+        results = report.sections["drift"]["results"]
+        assert [r["metric"] for r in results if r["feature"] is None] == ["energy", "mmd2"]
+        assert calls == Counter({"permutation_pvalue": 2, "_pooled_sq_median": 1})
 
     def test_results_follow_column_order(self, rng):
         ds = make_scored(

@@ -62,7 +62,6 @@ def test_monitor_sections_are_traced(tmp_path):
         "quality.section",
         "shift.drift_scan",
         "shift.univariate",
-        "shift.statistic",
         "shift.permutation_pvalue",
         "concept.nn_match",
         "conformal.section",
@@ -72,4 +71,12 @@ def test_monitor_sections_are_traced(tmp_path):
     assert any(
         s["name"] == "shift.univariate" and tracer._under(spans.spans, s, "shift.drift_scan")
         for s in spans.spans
+    )
+    # the scan takes its energy/mmd2 statistics from the permutation pass,
+    # so that span covers all the pooled work and no statistic span occurs
+    assert "shift.statistic" not in names
+    assert all(
+        tracer._under(spans.spans, s, "shift.drift_scan")
+        for s in spans.spans
+        if s["name"] == "shift.permutation_pvalue"
     )
