@@ -326,7 +326,7 @@ def kmeans(
 
     Deterministic for fixed inputs and seed. Empty clusters are re-seeded
     from the point farthest from its assigned centroid. Iterates until the
-    largest centroid movement is 0 or below ``tol``, or ``max_iter`` is hit.
+    largest centroid movement falls below ``tol`` or ``max_iter`` is hit.
     Seeding and every Lloyd step take ``_geometry.exact_sq_dists``: no BLAS
     call, so a step's time and bits do not depend on BLAS threads.
     """
@@ -365,15 +365,19 @@ def kmeans(
         prev_inertia = inertia
 
         new_centroids = centroids.copy()
-        counts = np.bincount(ids, minlength=k)
-        for j in np.flatnonzero(counts):
-            new_centroids[j] = Z[ids == j].mean(axis=0)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:  # re-seeded from the rows farthest from their centroids
-            new_centroids[empty] = Z[np.argsort(-d2[ids, rows], kind="stable")[: empty.size]]
+        for j in range(k):
+            members = ids == j
+            if members.any():
+                new_centroids[j] = Z[members].mean(axis=0)
+        empty = [j for j in range(k) if not np.any(ids == j)]
+        if empty:
+            dist_to_own = d2[ids, rows]
+            farthest = np.argsort(-dist_to_own, kind="stable")
+            for slot, j in enumerate(empty):
+                new_centroids[j] = Z[farthest[slot]]
         movement = float(np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1))))
         centroids = new_centroids
-        if movement < tol or movement == 0.0:  # 0: a fixed point, every later step repeats it
+        if movement < tol:
             break
 
     d2 = exact_sq_dists(centroids, Z)
@@ -512,10 +516,9 @@ def _baseline(model: Scorer, frame: FeatureFrame, baseline: np.ndarray | None) -
     """``baseline``, one prediction per row of ``frame``, or if None the model's."""
     if baseline is None:
         return np.asarray(model.predict(frame), dtype=np.float64)
-    baseline = np.asarray(baseline, dtype=np.float64)
-    if baseline.shape != (frame.n_rows,):
-        raise LengthMismatch(f"baseline of shape {baseline.shape} for {frame.n_rows} rows")
-    return baseline
+    if np.shape(baseline) != (frame.n_rows,):
+        raise LengthMismatch(f"baseline of shape {np.shape(baseline)} for {frame.n_rows} rows")
+    return np.asarray(baseline, dtype=np.float64)
 
 
 def perturbation_test(
@@ -530,9 +533,9 @@ def perturbation_test(
 
     Each numeric feature independently receives Gaussian noise with
     std = noise_fraction * feature std while the others stay fixed;
-    |prediction delta| statistics against ``baseline`` (the model's
-    predictions on ``frame``, scored here if None) are pooled over rows and
-    repeats. Deterministic for a fixed seed.
+    |prediction delta| statistics against ``baseline`` (if None, the model's
+    predictions on ``frame``) are pooled over rows and repeats. Deterministic
+    for a fixed seed.
     """
     baseline = _baseline(model, frame, baseline)
     rng = np.random.default_rng(seed)

@@ -255,38 +255,41 @@ def _pooled_pass(Z: np.ndarray, n: int, sq_median: float | None, S=None, unbiase
     (x) and the rest (y): distances, or with ``sq_median`` the negated kernel
     -exp(d^2 / (-2 sq_median)). Its row blocks are reduced and freed. The
     statistic 2*sxy/(n*m) - sxx/n^2 - syy/m^2 (sums of K over the x-x, x-y,
-    y-y blocks) comes from plain column sums, so it does not depend on S;
-    ``unbiased`` drops the diagonal and divides by n(n-1) and m(m-1)."""
+    y-y blocks) comes from plain row sums, so it does not depend on S;
+    ``unbiased`` drops the diagonal and divides by n(n-1) and m(m-1). With
+    no S (r and K S are None) K's y-x cells are not built."""
     N, m = len(Z), len(Z) - n
-    r, rx, ry, diagonal = np.empty(N), np.empty(N), np.empty(N), np.empty(N)
-    KS = None if S is None else np.empty_like(S)
+    rx, ry, diagonal = np.empty(N), np.empty(N), np.empty(N)
+    r, KS = (None, None) if S is None else (np.empty(N), np.empty_like(S))
     for start, stop in row_blocks(N, N):
-        K = sq_dists(Z[start:stop], Z)
+        lo = n if S is None and start >= n else 0  # first column of the block
+        K = sq_dists(Z[start:stop], Z[lo:])
         if sq_median is None:
             np.sqrt(K, out=K)
         else:
             np.divide(K, -2.0 * sq_median, out=K)
             np.exp(K, out=K)
             np.negative(K, out=K)  # negated kernel: the energy form gives +MMD^2
-        r[start:stop] = K.sum(axis=1)
-        rx[start:stop], ry[start:stop] = K[:, :n].sum(axis=1), K[:, n:].sum(axis=1)
-        diagonal[start:stop] = K.diagonal(start)
+        rx[start:stop], ry[start:stop] = K[:, : n - lo].sum(axis=1), K[:, n - lo :].sum(axis=1)
+        if unbiased:
+            diagonal[start:stop] = K.diagonal(start - lo)
         if S is not None:
+            r[start:stop] = K.sum(axis=1)
             KS[start:stop] = K @ S
         del K  # freed before the next block is built
     sxx, sxy, syy = rx[:n].sum(), ry[:n].sum(), ry[n:].sum()
-    if unbiased:
-        within = (sxx - diagonal[:n].sum()) / (n * (n - 1)) + (syy - diagonal[n:].sum()) / (m * (m - 1))
-    else:
-        within = sxx / (n * n) + syy / (m * m)
+    if unbiased:  # no diagonal: n(n-1) and m(m-1) pairs
+        sxx, syy = sxx - diagonal[:n].sum(), syy - diagonal[n:].sum()
+    within = sxx / (n * (n - unbiased)) + syy / (m * (m - unbiased))
     return float(2.0 * sxy / (n * m) - within), r, KS
 
 
 def energy_distance(X, Y) -> float:
     """Energy distance 2*E||X-Y|| - E||X-X'|| - E||Y-Y'|| (V-statistic).
 
-    All pairwise Euclidean distances enter the within-sample means,
-    including the zero self-pairs, so identical sample sets give exactly 0.
+    All pairwise Euclidean distances enter the within-sample means, self-pairs
+    too, so identical sample sets give 0 up to rounding: ``sq_dists`` can
+    leave a point's distance to its copy at the root of a rounding residue.
     """
     return _pooled_pass(*_pooled(X, Y), None)[0]
 
@@ -311,9 +314,7 @@ def _pooled_sq_median(Z: np.ndarray) -> float:
         del block  # freed before the next block is built
     k = len(upper) // 2
     upper.partition(k)
-    if len(upper) % 2:
-        return float(upper[k])
-    return float(np.mean([upper[:k].max(), upper[k]]))
+    return float(upper[k] if len(upper) % 2 else np.mean([upper[:k].max(), upper[k]]))
 
 
 def median_heuristic_bandwidth(X, Y) -> float:
@@ -326,8 +327,8 @@ def mmd2(X, Y, bandwidth: float | str = "median", unbiased: bool = False) -> flo
 
     ``bandwidth`` is the kernel sigma in exp(-||a-b||^2 / (2 sigma^2)), or
     "median" for the median heuristic on the pooled sample (its squared
-    median is sigma^2). The default biased V-statistic is exactly 0 for
-    identical sample sets; the unbiased U-statistic drops the diagonal
+    median is sigma^2). The default biased V-statistic is 0 up to rounding
+    for identical sample sets; the unbiased U-statistic drops the diagonal
     terms. All points identical makes the median bandwidth 0, in which case
     MMD^2 is defined as 0.
     """
@@ -391,20 +392,19 @@ def pca_reconstruction_errors(model: PcaBasis, X) -> np.ndarray:
 
 
 def permutation_pvalue(
-    metric: str, X, Y, n_permutations: int = 199, seed: int = 0, *,
-    sq_median: float | None = None, with_statistic: bool = False,
+    metric: str, X, Y, n_permutations: int = 199, seed: int = 0, *, with_statistic: bool = False
 ) -> float | tuple[float, float]:
     """Permutation p-value (1 + #{perm >= observed}) / (n_permutations + 1),
     or with ``with_statistic`` the pair (observed statistic, p-value).
 
     ``metric`` is "energy" or "mmd2". K is the pooled matrix of pairwise
     distances (energy) or of the negated Gaussian kernel (MMD^2, bandwidth
-    fixed by the median heuristic on the original pooled sample; a caller
-    that already holds that squared median passes it as ``sq_median``), so a
+    fixed by the median heuristic on the original pooled sample), so a
     split's statistic is 2*sxy/(n*m) - sxx/n^2 - syy/m^2 with sxx, sxy, syy
     the sums of K over its x-x, x-y and y-y blocks. The one pass over K
-    (``_pooled_pass``) also gives the observed statistic, with the bits of
-    ``energy_distance(X, Y)`` or ``mmd2(X, Y)``.
+    (``_pooled_pass``) also gives the observed statistic, that of
+    ``energy_distance(X, Y)`` or ``mmd2(X, Y)``: bit for bit up to 1024
+    pooled rows (one block), else up to rounding.
 
     All splits are scored at once. Column 0 of the 0/1 indicator matrix S
     marks the observed x rows, column b the first n entries of the b-th
@@ -414,29 +414,26 @@ def permutation_pvalue(
     terms counts as >= it, so exact ties count whatever the rounding.
 
     Cost: O(N^2 d) for K plus O(N^2 B) in BLAS products (N = n+m,
-    B = n_permutations); memory O(block*N + N*B), plus N(N-1)/2 floats when
-    the MMD median is computed here. At 1000+1000 rows of 5 features and
-    B = 199 on 2 vCPUs: about 0.06 s for energy, 0.1 s for MMD^2 with its
-    median (0.03 s of it).
+    B = n_permutations); memory O(block*N + N*B), plus N(N-1)/2 floats for
+    the MMD median. At 1000+1000 rows of 5 features and B = 199 on 2 vCPUs:
+    about 0.06 s for energy, 0.1 s for MMD^2 with its median (0.03 s of it).
     """
     if n_permutations < 99:
         raise ValueError("n_permutations must be at least 99")
     Z, n = _pooled(X, Y)
     N, m = len(Z), len(Z) - n
-    if metric == "mmd2":
-        if sq_median is None:
-            sq_median = _pooled_sq_median(Z)
-        if sq_median == 0.0:  # all points identical: MMD^2 is 0 and every split ties it
-            return (0.0, 1.0) if with_statistic else 1.0
-    elif metric != "energy":
+    if metric not in ("energy", "mmd2"):
         raise ValueError(f"unknown permutation metric {metric!r}")
+    sq_median = _pooled_sq_median(Z) if metric == "mmd2" else None
+    if sq_median == 0.0:  # all points identical: MMD^2 is 0 and every split ties it
+        return (0.0, 1.0) if with_statistic else 1.0
 
     rng = np.random.default_rng(seed)
     S = np.zeros((N, n_permutations + 1))
     S[:n, 0] = 1.0
     for b in range(1, n_permutations + 1):
         S[rng.permutation(N)[:n], b] = 1.0
-    statistic, r, KS = _pooled_pass(Z, n, sq_median if metric == "mmd2" else None, S)
+    statistic, r, KS = _pooled_pass(Z, n, sq_median, S)
     sx = S.T @ r
     sxx = np.einsum("ib,ib->b", S, KS)
     between = 2.0 * (sx - sxx) / (n * m)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from modelwatch._geometry import complete_matrix, exact_sq_dists, standardize
 from modelwatch.concept import (
     SegmentSeries,
     WindowPoint,
@@ -149,71 +148,6 @@ class TestKmeans:
         frame = make_frame(grade=["a", "b", "c", "a"] * 10)
         with pytest.raises(SchemaError, match="^kmeans needs at least one numeric feature$"):
             kmeans(frame, k=3)
-
-
-def lloyd_without_fixed_point_stop(frame, k, seed=0, max_iter=100, tol=1e-6):
-    """kmeans as written before it stopped at an exact fixed point: Lloyd
-    steps until the movement falls below ``tol`` or ``max_iter`` is hit.
-    Returns (segment ids, centroids, inertia, steps taken)."""
-    X = complete_matrix(frame, "kmeans")
-    n, d = X.shape
-    mean, scale = standardize(X)
-    Z = np.asfortranarray((X - mean) / scale)
-    rng = np.random.default_rng(seed)
-    centroids = np.empty((k, d))
-    centroids[0] = Z[rng.integers(n)]
-    closest_sq = exact_sq_dists(centroids[:1], Z)[0]
-    for j in range(1, k):
-        total = closest_sq.sum()
-        pick = int(rng.integers(n)) if total == 0 else int(rng.choice(n, p=closest_sq / total))
-        centroids[j] = Z[pick]
-        closest_sq = np.minimum(closest_sq, exact_sq_dists(centroids[j : j + 1], Z)[0])
-    rows = np.arange(n)
-    for n_iter in range(1, max_iter + 1):
-        d2 = exact_sq_dists(centroids, Z)
-        ids = np.argmin(d2, axis=0)
-        new_centroids = centroids.copy()
-        for j in range(k):
-            if np.any(ids == j):
-                new_centroids[j] = Z[ids == j].mean(axis=0)
-        empty = [j for j in range(k) if not np.any(ids == j)]
-        farthest = np.argsort(-d2[ids, rows], kind="stable")
-        for slot, j in enumerate(empty):
-            new_centroids[j] = Z[farthest[slot]]
-        movement = float(np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1))))
-        centroids = new_centroids
-        if movement < tol:
-            break
-    d2 = exact_sq_dists(centroids, Z)
-    ids = np.argmin(d2, axis=0)
-    return ids, centroids * scale + mean, float(d2[ids, rows].sum()), n_iter
-
-
-class TestKmeansFixedPoint:
-    # At tol=0 the old loop ran all 100 steps on both inputs. Data seed 0
-    # repeats its assignments after 23 steps, so the rest were no-ops; data
-    # seed 1 still moves at step 100, so both loops stop at max_iter.
-    @pytest.mark.parametrize("data_seed, n_iter", [(0, 23), (1, 100)])
-    def test_same_result_as_running_on(self, data_seed, n_iter):
-        frame = FeatureFrame.from_numeric(np.random.default_rng(data_seed).normal(size=(4000, 3)))
-        ids, centroids, inertia, old_n_iter = lloyd_without_fixed_point_stop(frame, 12, tol=0.0)
-        got = kmeans(frame, 12, seed=0, tol=0.0)
-        assert (old_n_iter, got.n_iter) == (100, n_iter)
-        np.testing.assert_array_equal(got.segment_ids, ids)
-        assert got.centroids.tobytes() == centroids.tobytes()
-        assert got.inertia == inertia
-
-    def test_empty_clusters_reseeded_as_before(self):
-        # 4 distinct rows and k = 6: clusters go empty at every step and are
-        # re-seeded from the farthest rows, so no step is a fixed point
-        r = np.random.default_rng(3)
-        frame = FeatureFrame.from_numeric(r.normal(size=(4, 2))[r.integers(0, 4, size=40)])
-        ids, centroids, inertia, old_n_iter = lloyd_without_fixed_point_stop(frame, 6, seed=3)
-        got = kmeans(frame, 6, seed=3)
-        assert len(set(ids.tolist())) < 6
-        assert got.n_iter == old_n_iter == 100
-        np.testing.assert_array_equal(got.segment_ids, ids)
-        assert (got.centroids.tobytes(), got.inertia) == (centroids.tobytes(), inertia)
 
 
 class TestSegmentMetrics:

@@ -524,8 +524,44 @@ class TestBlockedKernels:
         assert mmd2(X, Y) == pytest.approx(statistic, rel=1e-12, abs=0)
         for metric in ("energy", "mmd2"):
             assert permutation_pvalue(metric, X, Y, 99, seed=4) == pvalues[metric], metric
-        assert permutation_pvalue("mmd2", X, Y, 99, seed=4, sq_median=sq_median) == pvalues["mmd2"]
 
+
+
+class TestPublicStatisticsBeyondOneBlock:
+    """``energy_distance`` and ``mmd2`` build a block of y rows only over the
+    y columns, so past one block (1024 pooled rows) their y-y cells come
+    from another product than the permutation pass's. They are held to a
+    three-matrix reference and to the pass's statistic up to rounding."""
+
+    @staticmethod
+    def _reference(X, Y, kernel, unbiased=False):
+        blocks = [kernel(sq_dists(A, B)) for A, B in ((X, X), (X, Y), (Y, Y))]
+        if not unbiased:
+            return float(2.0 * blocks[1].mean() - blocks[0].mean() - blocks[2].mean())
+        n, m = len(X), len(Y)
+        within = [(K.sum() - np.trace(K)) / (k * (k - 1)) for K, k in ((blocks[0], n), (blocks[2], m))]
+        return float(2.0 * blocks[1].mean() - within[0] - within[1])
+
+    @pytest.mark.parametrize("n, m", [(1100, 1100), (1500, 1513), (300, 1100)])
+    def test_match_three_matrices_and_the_permutation_pass(self, n, m):
+        r = np.random.default_rng(n + m)
+        X, Y = r.normal(size=(n, 3)), r.normal(size=(m, 3)) * 1.05 + 0.3
+        gaussian = lambda sq: -np.exp(-sq / (2.0 * 1.3**2))  # negated: the energy form gives +MMD^2
+        assert energy_distance(X, Y) == pytest.approx(self._reference(X, Y, np.sqrt), rel=1e-12)
+        assert mmd2(X, Y, bandwidth=1.3) == pytest.approx(self._reference(X, Y, gaussian), rel=1e-12)
+        unbiased = self._reference(X, Y, gaussian, unbiased=True)
+        assert mmd2(X, Y, bandwidth=1.3, unbiased=True) == pytest.approx(unbiased, rel=1e-12)
+        for metric, public in (("energy", energy_distance), ("mmd2", mmd2)):
+            statistic = permutation_pvalue(metric, X, Y, 99, with_statistic=True)[0]
+            assert statistic == pytest.approx(public(X, Y), rel=1e-12), metric
+
+    @pytest.mark.parametrize("n", [5, 550])
+    def test_identical_samples_give_zero_up_to_rounding(self, n):
+        # a point's distance to its copy can be the root of a rounding
+        # residue of the expansion, so energy is not always exactly 0
+        X = np.random.default_rng(n).normal(size=(n, 3))
+        assert energy_distance(X, X.copy()) == pytest.approx(0.0, abs=1e-12)
+        assert mmd2(X, X.copy()) == pytest.approx(0.0, abs=1e-12)
 
 def _masked_median(Z):
     """``np.median`` of the strictly upper triangle of ``sq_dists(Z, Z)``:
