@@ -19,8 +19,8 @@ from .errors import ConfigError, ModelWatchError
 from .report import (
     MonitoringReport,
     RunInputs,
-    alerts_exit_code,
     collect_alerts,
+    exit_code,
     exit_code_for,
     render_report,
     run_monitor,
@@ -106,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         alerts = collect_alerts({section_name: section})
         doc = {"section": section_name, "result": section, "alerts": alerts}
         _emit(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", args.out)
-        return 1 if section["status"] == "error" else alerts_exit_code(alerts)
+        return exit_code(section["status"] != "error", alerts)
 
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

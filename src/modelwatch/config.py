@@ -87,9 +87,6 @@ class MonitorConfig:
     quality: QualityConfig
     model: ModelConfig
 
-    def threshold_pair(self, key: str) -> tuple[float, float]:
-        return self.thresholds[key]
-
     @cached_property
     def effective(self) -> dict:
         """Full config with defaults applied, for the report echo and digest."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
@@ -140,13 +140,29 @@ class Schema:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Schema":
+        keys = [f.name for f in fields(ColumnSpec)]
         cols = []
         for entry in doc["columns"]:
-            vr = entry.get("valid_range")
-            vc = entry.get("valid_categories")
+            if not isinstance(entry, Mapping):
+                raise SchemaError(f"a column must be an object, got {entry!r}")
+            unknown = [key for key in entry if key not in keys]
+            if unknown:
+                raise SchemaError(f"unknown column key {unknown[0]!r}; valid: {keys}")
+            name, vr, vc = entry["name"], entry.get("valid_range"), entry.get("valid_categories")
+            if not isinstance(name, str):
+                raise SchemaError(f"column name must be a string, got {name!r}")
+            if vr is not None and not (
+                isinstance(vr, (list, tuple)) and len(vr) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vr)
+            ):
+                raise SchemaError(f"column {name!r}: valid_range must be [low, high], got {vr!r}")
+            if vc is not None and not (
+                isinstance(vc, (list, tuple)) and all(isinstance(v, str) for v in vc)
+            ):
+                raise SchemaError(f"column {name!r}: valid_categories must be a list of strings")
             cols.append(
                 ColumnSpec(
-                    name=entry["name"],
+                    name=name,
                     kind=entry["kind"],
                     role=entry.get("role", "feature"),
                     valid_range=tuple(float(v) for v in vr) if vr is not None else None,

@@ -512,10 +512,18 @@ def fit_gap(
 # ---------------------------------------------------------------------------
 
 
+def _predict(model: Scorer, frame: FeatureFrame) -> np.ndarray:
+    """The model's predictions on ``frame``, one float per row."""
+    pred = np.asarray(model.predict(frame), dtype=np.float64)
+    if pred.shape != (frame.n_rows,):
+        raise LengthMismatch(f"scorer returned shape {pred.shape} for {frame.n_rows} rows")
+    return pred
+
+
 def _baseline(model: Scorer, frame: FeatureFrame, baseline: np.ndarray | None) -> np.ndarray:
     """``baseline``, one prediction per row of ``frame``, or if None the model's."""
     if baseline is None:
-        return np.asarray(model.predict(frame), dtype=np.float64)
+        return _predict(model, frame)
     if np.shape(baseline) != (frame.n_rows,):
         raise LengthMismatch(f"baseline of shape {np.shape(baseline)} for {frame.n_rows} rows")
     return np.asarray(baseline, dtype=np.float64)
@@ -550,8 +558,7 @@ def perturbation_test(
             perturbed = frame.replace_column(
                 NumericColumn(name, col.values + noise, col.missing_mask)
             )
-            pred = np.asarray(model.predict(perturbed), dtype=np.float64)
-            deltas.append(np.abs(pred - baseline))
+            deltas.append(np.abs(_predict(model, perturbed) - baseline))
         pooled = np.concatenate(deltas)
         rows.append(
             FeatureSensitivity(
@@ -615,8 +622,7 @@ def invariance_test(
                         np.zeros(frame.n_rows, bool),
                     )
                 )
-    pred = np.asarray(model.predict(altered), dtype=np.float64)
-    deltas = np.abs(pred - baseline)
+    deltas = np.abs(_predict(model, altered) - baseline)
     violating = np.nonzero(deltas > tolerance)[0]
     return InvarianceReport(
         max_abs_delta=float(deltas.max()) if deltas.size else 0.0,

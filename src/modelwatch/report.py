@@ -28,7 +28,7 @@ from .config import MonitorConfig
 from .data import SCORED_ROLES, FeatureFrame, NumericColumn, ScoredDataset, load_csv
 from .errors import ConfigError
 from .external import ExternalModel
-from .shift import METRICS, apply_thresholds, drift_scan
+from .shift import METRICS, DriftResult, apply_thresholds, drift_scan
 
 
 @dataclass(frozen=True)
@@ -115,24 +115,36 @@ def _created_at() -> str:
 
 
 def _verdict(cfg: MonitorConfig, key: str, value: float) -> str:
-    warn, fail = cfg.threshold_pair(key)
+    warn, fail = cfg.thresholds[key]
     return apply_thresholds(value, warn, fail, METRICS[key].direction)
 
 
 class RunInputs:
-    """The datasets of one run: reference and current are loaded up front,
-    train on first use, so a section opens only the files it reads."""
+    """What a run's stages read, each loaded or computed once: reference and
+    current up front, so a data error stops the run before any stage; train,
+    calibration and the drift scan on first use. The drift and concept-drift
+    stages read the one scan of the un-imputed data, whichever command runs."""
 
     def __init__(self, cfg: MonitorConfig):
         self.cfg = cfg
-        self.reference = load_csv(cfg.data.path("reference"), cfg.schema, cfg.missing_tokens)
-        self.current = load_csv(cfg.data.path("current"), cfg.schema, cfg.missing_tokens)
-        self.drift_results = None  # set by the drift section, reused by concept drift
+        self.reference = self._load("reference")
+        self.current = self._load("current")
+
+    def _load(self, key: str) -> FeatureFrame | ScoredDataset | None:
+        path = self.cfg.data.path(key)
+        return None if path is None else load_csv(path, self.cfg.schema, self.cfg.missing_tokens)
 
     @cached_property
     def train(self) -> ScoredDataset | None:
-        path = self.cfg.data.path("train")
-        return None if path is None else load_csv(path, self.cfg.schema, self.cfg.missing_tokens)
+        return self._load("train")
+
+    @cached_property
+    def calibration(self) -> ScoredDataset | None:
+        return self._load("calibration")
+
+    @cached_property
+    def scan(self) -> list[DriftResult]:
+        return drift_scan(self.scored("reference"), self.scored("current"), self.cfg.drift)
 
     def scored(self, which: str) -> ScoredDataset:
         dataset = getattr(self, which)
@@ -203,35 +215,25 @@ def quality_section(cfg: MonitorConfig, current: FeatureFrame | ScoredDataset) -
     }
 
 
-def drift_section(cfg: MonitorConfig, data: RunInputs) -> dict:
-    reference, current = data.scored("reference"), data.scored("current")
-    data.drift_results = drift_scan(reference, current, cfg.drift)
-    return {"status": "ok", "results": [r.to_json_dict() for r in data.drift_results]}
+def drift_section(scan: list[DriftResult]) -> dict:
+    return {"status": "ok", "results": [r.to_json_dict() for r in scan]}
 
 
-def _impute_numeric_medians(frame: FeatureFrame) -> tuple[FeatureFrame, list[str]]:
-    touched = []
-    out = frame
-    for name in frame.numeric_names():
-        col = frame.column(name)
-        if col.missing_mask.any() and col.observed().size:
-            out = quality.impute(out, {name: "median"})
-            touched.append(name)
-    return out, touched
+def _impute_numeric_medians(ds: ScoredDataset) -> tuple[ScoredDataset, list[str]]:
+    frame = ds.frame
+    touched = [
+        name for name in frame.numeric_names()
+        if frame.column(name).missing_mask.any() and frame.column(name).observed().size
+    ]
+    return replace(ds, frame=quality.impute(frame, dict.fromkeys(touched, "median"))), touched
 
 
 def concept_section(
-    cfg: MonitorConfig,
-    reference: ScoredDataset,
-    current: ScoredDataset,
-    input_scan=None,
+    cfg: MonitorConfig, reference: ScoredDataset, current: ScoredDataset, scan: list[DriftResult]
 ) -> dict:
-    ref_frame, imputed_ref = _impute_numeric_medians(reference.frame)
-    cur_frame, imputed_cur = _impute_numeric_medians(current.frame)
-    if imputed_ref or imputed_cur:
-        reference = replace(reference, frame=ref_frame)
-        current = replace(current, frame=cur_frame)
-    diag = classify_drift(reference, current, cfg.concept_drift, input_scan=input_scan)
+    reference, imputed_ref = _impute_numeric_medians(reference)
+    current, imputed_cur = _impute_numeric_medians(current)
+    diag = classify_drift(reference, current, cfg.concept_drift, input_scan=scan)
     severity = {
         "no_drift": "pass",
         "input_drift": "warn",
@@ -302,12 +304,11 @@ def performance_section(cfg: MonitorConfig, reference: ScoredDataset, current: S
     }
 
 
-def uncertainty_section(cfg: MonitorConfig, current: ScoredDataset) -> dict:
-    if cfg.data.calibration is None:
+def uncertainty_section(
+    cfg: MonitorConfig, current: ScoredDataset, calibration: ScoredDataset | None
+) -> dict:
+    if calibration is None:
         return {"status": "not_configured"}
-    calibration = load_csv(cfg.data.path("calibration"), cfg.schema, cfg.missing_tokens)
-    if not isinstance(calibration, ScoredDataset):
-        raise ConfigError("calibration dataset must carry target and prediction columns")
     cal = cp.conformal_fit(calibration, cfg.conformal.alpha)
     lo, hi = cp.conformal_interval(cal, current.y_pred)
     coverage = cp.empirical_coverage(np.column_stack([lo, hi]), current.y_true)
@@ -447,14 +448,14 @@ def collect_alerts(sections: dict) -> list[dict]:
 # wrappers installed on those names see the calls.
 SECTIONS = {
     "data_quality": lambda cfg, data: quality_section(cfg, data.current),
-    "drift": lambda cfg, data: drift_section(cfg, data),
+    "drift": lambda cfg, data: drift_section(data.scan),
     "concept_drift": lambda cfg, data: concept_section(
-        cfg, data.scored("reference"), data.scored("current"), data.drift_results
+        cfg, data.scored("reference"), data.scored("current"), data.scan
     ),
     "performance": lambda cfg, data: performance_section(
         cfg, data.scored("reference"), data.scored("current")
     ),
-    "uncertainty": lambda cfg, data: uncertainty_section(cfg, data.scored("current")),
+    "uncertainty": lambda cfg, data: uncertainty_section(cfg, data.scored("current"), data.calibration),
     "weakness": lambda cfg, data: weakness_section(
         cfg, data.scored("current"), data.train if cfg.segmentation.features else None
     ),
@@ -550,12 +551,11 @@ def render_report(report: MonitoringReport, format: str = "json") -> str:
     return "\n".join(lines) + "\n"
 
 
-def exit_code_for(report: MonitoringReport) -> int:
-    """CI exit contract: 0 all pass, 3 warns only, 4 any fail, 1 incomplete run."""
-    return alerts_exit_code(report.alerts) if report.status == "complete" else 1
-
-
-def alerts_exit_code(alerts: list[dict]) -> int:
-    """0 when no alert, 3 for warns only, 4 for any fail."""
+def exit_code(complete: bool, alerts: list[dict]) -> int:
+    """CI exit contract: 1 incomplete or errored, else 4 any fail, 3 warns only, 0 all pass."""
     severities = {a["severity"] for a in alerts}
-    return 4 if "fail" in severities else 3 if "warn" in severities else 0
+    return 1 if not complete else 4 if "fail" in severities else 3 if "warn" in severities else 0
+
+
+def exit_code_for(report: MonitoringReport) -> int:
+    return exit_code(report.status == "complete", report.alerts)

@@ -5,12 +5,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from modelwatch.cli import main
+import modelwatch.report as report_module
+from modelwatch.cli import SECTION_COMMANDS, main
 from modelwatch.data import Schema, write_csv
 
-from conftest import PIPELINE_SCHEMA_DOC, pipeline_dataset, write_pipeline_fixture
+from conftest import (
+    PIPELINE_SCHEMA_DOC,
+    make_frame,
+    make_scored,
+    pipeline_dataset,
+    write_pipeline_fixture,
+)
 
 
 def run_cli(args, env_extra=None):
@@ -230,6 +238,56 @@ class TestSectionCommands:
         proc = run_cli(["weakness", "--config", str(config)])
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["result"]["status"] == "not_configured"
+
+
+class TestSectionMatchesMonitor:
+    """A single-section command writes exactly the section ``monitor``
+    writes. The concept-drift command used to rescan median-imputed frames:
+    with about 45 % of the current x0 missing, the imputed spike failed KS,
+    so the command called input drift on x0 where ``monitor``, reading the
+    drift stage's scan of the loaded data, called no drift."""
+
+    @pytest.fixture
+    def config(self, tmp_path, monkeypatch):
+        class InProcessModel:  # the robustness stage, without a subprocess
+            def __init__(self, command, timeout):
+                pass
+
+            def predict(self, frame):
+                return 2.0 * frame.column("x1").values
+
+        monkeypatch.setattr(report_module, "ExternalModel", InProcessModel)
+        schema = Schema.from_json_dict(PIPELINE_SCHEMA_DOC)
+        write_csv(pipeline_dataset(seed=9, n=300), tmp_path / "calibration.csv", schema)
+        write_csv(pipeline_dataset(seed=3, n=300), tmp_path / "train.csv", schema)
+        config = write_pipeline_fixture(
+            tmp_path,
+            config_overrides={
+                "data": {"calibration": "calibration.csv", "train": "train.csv"},
+                "drift": {"numeric_metrics": ["ks", "psi"]},
+                "segmentation": {"features": ["x1"], "bins": 4},
+                "model": {"command": "in-process"},
+                "robustness": {"n_repeats": 2, "irrelevant_features": ["x1"]},
+            },
+        )
+        write_csv(pipeline_dataset(seed=1, n=600), tmp_path / "reference.csv", schema)
+        current = pipeline_dataset(seed=2, n=600)
+        x0 = current.frame.column("x0").values.copy()
+        x0[np.random.default_rng(5).random(600) < 0.45] = np.nan
+        frame = make_frame(x0=x0, x1=current.frame.column("x1").values)
+        write_csv(make_scored(frame, current.y_true, current.y_pred), tmp_path / "current.csv", schema)
+        return config
+
+    @pytest.mark.parametrize("command", sorted(SECTION_COMMANDS))
+    def test_section_command_writes_the_monitor_section(self, tmp_path, config, command):
+        report_path, section_path = tmp_path / "report.json", tmp_path / "section.json"
+        main(["monitor", "--config", str(config), "--out", str(report_path)])
+        main([command, "--config", str(config), "--out", str(section_path)])
+        report, doc = json.loads(report_path.read_text()), json.loads(section_path.read_text())
+        name = SECTION_COMMANDS[command][0]
+        assert doc["result"]["status"] in ("ok", "not_configured")
+        assert doc["result"] == report["sections"][name]
+        assert doc["alerts"] == [a for a in report["alerts"] if a["section"] == name]
 
 
 class TestReportCommand:

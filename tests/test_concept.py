@@ -59,7 +59,7 @@ class TestNoNumericFeatures:
     def test_concept_section_is_an_error(self, tmp_path):
         cfg = parse_config(write_pipeline_fixture(tmp_path, shift=0.0))
         datasets = {"reference": self.categorical_only(1), "current": self.categorical_only(2)}
-        data = SimpleNamespace(scored=datasets.__getitem__, drift_results=None)
+        data = SimpleNamespace(scored=datasets.__getitem__, scan=[])
         assert run_stage("concept_drift", cfg, data) == {
             "status": "error",
             "error": "SchemaError: matching needs at least one numeric feature",

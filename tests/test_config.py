@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modelwatch.cli import main
 from modelwatch.config import RULES, WIRED, build_config, parse_config
 from modelwatch.errors import ConfigError
 from modelwatch.report import config_digest
@@ -230,6 +231,30 @@ class TestUnknownKeys:
             build_config(doc)
         assert exc.value.pointer == "/" + "/".join((*path, key))
         assert "valid:" in str(exc.value)
+
+
+class TestSchemaEntries:
+    # each ended in "internal error: ..." (exit 1), in "column 3 not found"
+    # (exit 1), or loaded silently (an unknown key; categories split into
+    # characters, so every row broke a rule)
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"valid_range": "ab"},
+            {"valid_range": [1]},
+            {"valid_range": [0, "x"]},
+            {"name": 3},
+            {"extra": 1},
+            {"kind": "categorical", "valid_categories": "NS"},
+        ],
+    )
+    def test_bad_column_entry_exits_2(self, tmp_path, capsys, change):
+        config = write_pipeline_fixture(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["schema"]["columns"][0].update(change)
+        config.write_text(json.dumps(doc))
+        assert main(["quality", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("config error: /schema: invalid schema: ")
 
 
 # The JSON keys of every section, as accepted and echoed; a section's

@@ -373,6 +373,25 @@ class TestBaseline:
             invariance_test(model, frame, ["junk"], baseline=np.zeros(shape))
         assert model.calls == 0
 
+    @pytest.mark.parametrize("first_call", [True, False])
+    def test_scorer_output_of_wrong_shape_is_a_length_mismatch(self, rng, first_call):
+        # a scorer answering [1.0] after its first call was broadcast against
+        # the baseline: mean_abs_delta 0.0 and an invariance pass
+        class OneValueModel:
+            calls = 0
+
+            def predict(self, frame):
+                self.calls += 1
+                return [1.0] if first_call or self.calls > 1 else np.ones(frame.n_rows)
+
+        frame = make_frame(x0=rng.normal(size=50), junk=rng.normal(size=50))
+        for run in (
+            lambda model: perturbation_test(model, frame, 0.05, n_repeats=2, seed=0),
+            lambda model: invariance_test(model, frame, ["junk"], seed=0),
+        ):
+            with pytest.raises(LengthMismatch, match=r"^scorer returned shape \(1,\) for 50 rows$"):
+                run(OneValueModel())
+
 
 class TestInvariance:
     def test_model_not_reading_column(self, rng):
