@@ -64,7 +64,9 @@ def pipeline_dataset(seed: int, n: int, shift: float = 0.0) -> ScoredDataset:
 
 
 def write_pipeline_fixture(tmp_path, shift: float = 0.0, config_overrides: dict | None = None):
-    """Write reference/current CSVs plus a config JSON; returns the config path."""
+    """Write reference/current CSVs plus a config JSON; returns the config path.
+    The overrides merge into a copy, so ``PIPELINE_SCHEMA_DOC`` never changes."""
+    import copy
     import json
 
     from modelwatch.data import Schema, write_csv
@@ -75,7 +77,7 @@ def write_pipeline_fixture(tmp_path, shift: float = 0.0, config_overrides: dict 
     write_csv(reference, tmp_path / "reference.csv", schema)
     write_csv(current, tmp_path / "current.csv", schema)
     config = {
-        "schema": PIPELINE_SCHEMA_DOC,
+        "schema": copy.deepcopy(PIPELINE_SCHEMA_DOC),
         "data": {"reference": "reference.csv", "current": "current.csv"},
         "seed": 0,
         "drift": {

@@ -257,6 +257,17 @@ class TestSchemaEntries:
         assert capsys.readouterr().err.startswith("config error: /schema: invalid schema: ")
 
 
+class TestPipelineFixture:
+    def test_schema_override_leaves_the_template_unchanged(self, tmp_path):
+        # the override used to be merged into PIPELINE_SCHEMA_DOC itself,
+        # which then carried it into every later test of the session
+        before = json.loads(json.dumps(PIPELINE_SCHEMA_DOC))
+        columns = [dict(before["columns"][0], valid_range=[0, 1]), *before["columns"][1:]]
+        config = write_pipeline_fixture(tmp_path, config_overrides={"schema": {"columns": columns}})
+        assert json.loads(config.read_text())["schema"]["columns"] == columns
+        assert PIPELINE_SCHEMA_DOC == before
+
+
 # The JSON keys of every section, as accepted and echoed; a section's
 # dataclass may hold more fields only if they are wired from elsewhere.
 SECTION_KEYS = {
