@@ -390,7 +390,7 @@ class TestRoundTrip:
 
     def test_golden_fixture_docs(self, tmp_path):
         docs = list(golden_docs(tmp_path))
-        assert len(docs) == 4
+        assert len(docs) == 5
         for doc in docs:
             self.assert_round_trip(doc)
 

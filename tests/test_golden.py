@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from modelwatch import report as report_module
 from modelwatch.config import parse_config
 from modelwatch.data import Schema, write_csv
 from modelwatch.report import render_report, run_monitor
@@ -26,6 +27,28 @@ EXTRAS = {
         "n_permutations": 99,
     },
 }
+
+# current x0 rows break the valid range, and an in-process scorer that reads
+# x1 breaks its declared irrelevance on every row
+RULES = {
+    "schema": {
+        "columns": [
+            {"name": "x0", "kind": "numeric", "role": "feature", "valid_range": [-1.5, 1.5]},
+            *PIPELINE_SCHEMA_DOC["columns"][1:],
+        ]
+    },
+    "model": {"command": "in-process"},
+    "robustness": {"n_repeats": 2, "irrelevant_features": ["x1"]},
+}
+
+
+class InProcessModel:
+    def __init__(self, command, timeout):
+        pass
+
+    def predict(self, frame):
+        return 2.0 * frame.column("x0").values - frame.column("x1").values
+
 
 # fixture -> (shift, config overrides, sha256 of JSON render, sha256 of text render)
 GOLDEN = {
@@ -53,6 +76,12 @@ GOLDEN = {
         "1f14fad3293e85ecfda21d537012e5563d2ac6f802b1137182196c1d38c8c594",
         "89bd1ba5ce27f8a7280802b8f7ac38c6e4dbf628313d68b4d9545f73673e73a1",
     ),
+    "rules": (
+        0.3,
+        RULES,
+        "cddd56659456af1897f9ef6c14c39e7346ec15d2c397a5af90c7a71d9b0c6186",
+        "cea80c8f85bd20a963e18625c4e2c6e99a90257e25e7c89eaea636a0b953ce9e",
+    ),
 }
 
 
@@ -68,6 +97,8 @@ def test_report_bytes_pinned(name, tmp_path, monkeypatch):
         schema = Schema.from_json_dict(PIPELINE_SCHEMA_DOC)
         write_csv(pipeline_dataset(seed=9, n=500), tmp_path / "calibration.csv", schema)
         write_csv(pipeline_dataset(seed=3, n=600), tmp_path / "train.csv", schema)
+    if overrides is RULES:
+        monkeypatch.setattr(report_module, "ExternalModel", InProcessModel)
     report = run_monitor(parse_config(write_pipeline_fixture(tmp_path, shift, overrides)))
     assert report.status == "complete"
     assert _sha(render_report(report, "json")) == json_sha
