@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import compress
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -67,18 +68,32 @@ class ColumnSpec:
     valid_categories: frozenset[str] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaError(f"column name must be a string, got {self.name!r}")
         if self.kind not in KINDS:
             raise SchemaError(f"column {self.name!r}: unknown kind {self.kind!r}")
         if self.role not in ROLES:
             raise SchemaError(f"column {self.name!r}: unknown role {self.role!r}")
-        if self.valid_range is not None:
+        # lists, as JSON gives them, are stored as the declared tuple and frozenset
+        vr, vc = self.valid_range, self.valid_categories
+        if vr is not None:
             if self.kind != "numeric":
                 raise SchemaError(f"column {self.name!r}: valid_range on non-numeric column")
-            lo, hi = self.valid_range
+            if not (
+                isinstance(vr, (list, tuple)) and len(vr) == 2
+                and all(isinstance(v, Real) and not isinstance(v, bool) for v in vr)
+            ):
+                raise SchemaError(f"column {self.name!r}: valid_range must be [low, high], got {vr!r}")
+            lo, hi = map(float, vr)
             if not lo <= hi:
                 raise SchemaError(f"column {self.name!r}: valid_range lower bound exceeds upper")
-        if self.valid_categories is not None and self.kind != "categorical":
-            raise SchemaError(f"column {self.name!r}: valid_categories on non-categorical column")
+            object.__setattr__(self, "valid_range", (lo, hi))
+        if vc is not None:
+            if self.kind != "categorical":
+                raise SchemaError(f"column {self.name!r}: valid_categories on non-categorical column")
+            if not (isinstance(vc, (list, tuple, set, frozenset)) and all(isinstance(v, str) for v in vc)):
+                raise SchemaError(f"column {self.name!r}: valid_categories must be a list of strings")
+            object.__setattr__(self, "valid_categories", frozenset(vc))
 
 
 class Schema:
@@ -141,46 +156,26 @@ class Schema:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Schema":
         keys = [f.name for f in fields(ColumnSpec)]
-        cols = []
         for entry in doc["columns"]:
             if not isinstance(entry, Mapping):
                 raise SchemaError(f"a column must be an object, got {entry!r}")
             unknown = [key for key in entry if key not in keys]
             if unknown:
                 raise SchemaError(f"unknown column key {unknown[0]!r}; valid: {keys}")
-            name, vr, vc = entry["name"], entry.get("valid_range"), entry.get("valid_categories")
-            if not isinstance(name, str):
-                raise SchemaError(f"column name must be a string, got {name!r}")
-            if vr is not None and not (
-                isinstance(vr, (list, tuple)) and len(vr) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vr)
-            ):
-                raise SchemaError(f"column {name!r}: valid_range must be [low, high], got {vr!r}")
-            if vc is not None and not (
-                isinstance(vc, (list, tuple)) and all(isinstance(v, str) for v in vc)
-            ):
-                raise SchemaError(f"column {name!r}: valid_categories must be a list of strings")
-            cols.append(
-                ColumnSpec(
-                    name=name,
-                    kind=entry["kind"],
-                    role=entry.get("role", "feature"),
-                    valid_range=tuple(float(v) for v in vr) if vr is not None else None,
-                    valid_categories=frozenset(vc) if vc is not None else None,
-                )
-            )
-        return cls(cols)
+        return cls([ColumnSpec(**entry) for entry in doc["columns"]])
 
     def to_json_dict(self) -> dict:
-        cols = []
-        for c in self.columns:
-            entry: dict = {"name": c.name, "kind": c.kind, "role": c.role}
-            if c.valid_range is not None:
-                entry["valid_range"] = list(c.valid_range)
-            if c.valid_categories is not None:
-                entry["valid_categories"] = sorted(c.valid_categories)
-            cols.append(entry)
-        return {"columns": cols}
+        def echo(value):
+            if isinstance(value, frozenset):
+                return sorted(value)
+            return list(value) if isinstance(value, tuple) else value
+
+        return {
+            "columns": [
+                {key: echo(value) for key, value in asdict(c).items() if value is not None}
+                for c in self.columns
+            ]
+        }
 
 
 @dataclass(frozen=True)

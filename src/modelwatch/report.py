@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -164,25 +165,18 @@ def quality_section(cfg: MonitorConfig, current: FeatureFrame | ScoredDataset) -
     missing = {}
     for name, item in profile.per_column.items():
         missing[name] = {
-            "missing_count": item.missing_count,
-            "missing_fraction": item.missing_fraction,
+            **asdict(item),
             "column": name,
             "verdict": _verdict(cfg, "missing_fraction", item.missing_fraction),
         }
 
     violations = quality.validate_rules(frame, cfg.schema)
-    per_column: dict[str, int] = {}
-    for v in violations:
-        per_column[v.column] = per_column.get(v.column, 0) + 1
     rules = {
         "count": len(violations),
-        "per_column": per_column,
+        "per_column": dict(Counter(v.column for v in violations)),
         "subject": "rules",
         "verdict": "fail" if violations else "pass",
-        "examples": [
-            {"row": v.row, "column": v.column, "kind": v.kind, "observed": v.observed}
-            for v in violations[:10]
-        ],
+        "examples": [asdict(v) for v in violations[:10]],
     }
 
     outliers = {}
@@ -234,6 +228,8 @@ def concept_section(
     reference, imputed_ref = _impute_numeric_medians(reference)
     current, imputed_cur = _impute_numeric_medians(current)
     diag = classify_drift(reference, current, cfg.concept_drift, input_scan=scan)
+    residual_test = asdict(diag.residual_test)
+    residual_test["test"] = residual_test.pop("test_name")
     severity = {
         "no_drift": "pass",
         "input_drift": "warn",
@@ -249,12 +245,7 @@ def concept_section(
         "verdict": severity,
         "diagnosis": {
             "drift_type": diag.verdict,
-            "residual_test": {
-                "test": diag.residual_test.test_name,
-                "statistic": diag.residual_test.statistic,
-                "p_value": diag.residual_test.p_value,
-                "p_threshold": cfg.concept_drift.p_threshold,
-            },
+            "residual_test": {**residual_test, "p_threshold": cfg.concept_drift.p_threshold},
             "mean_match_distance": diag.mean_match_distance,
             "input_drift_features": failing_features,
             "imputed_features": sorted(set(imputed_ref + imputed_cur)),
@@ -316,10 +307,7 @@ def uncertainty_section(
     shortfall = max(0.0, target - coverage)
     section = {
         "status": "ok",
-        "mode": cal.mode,
-        "alpha": cal.alpha,
-        "q_hat": cal.q_hat,
-        "n_calibration": cal.n_calibration,
+        **asdict(cal),
         "achieved_coverage": coverage,
         "target_coverage": target,
         "subject": "coverage",
@@ -357,13 +345,8 @@ def weakness_section(
     if train is not None:
         gaps = {}
         for feature in seg.features:
-            table = outcome.fit_gap(train, current, feature, seg.bins)
-            gaps[feature] = {
-                "metric": table.metric,
-                "overall_train": table.overall_train,
-                "overall_test": table.overall_test,
-                "segments": [asdict(row) for row in table.rows],
-            }
+            gaps[feature] = asdict(outcome.fit_gap(train, current, feature, seg.bins))
+            gaps[feature]["segments"] = gaps[feature].pop("rows")
         section["fit_gap"] = gaps
     return section
 
@@ -396,13 +379,10 @@ def robustness_section(cfg: MonitorConfig, current: ScoredDataset) -> dict:
             tolerance=rob.tolerance, baseline=baseline,
         )
         section["invariance"] = {
+            **asdict(inv),
             "subject": "invariance",
-            "mode": inv.mode,
-            "max_abs_delta": inv.max_abs_delta,
-            "mean_abs_delta": inv.mean_abs_delta,
             "violating_rows": inv.violating_rows[:50],
             "n_violations": len(inv.violating_rows),
-            "tolerance": inv.tolerance,
             "verdict": "fail" if inv.violating_rows else "pass",
         }
     return section

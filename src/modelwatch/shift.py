@@ -22,7 +22,7 @@ reports them separately.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,14 +80,7 @@ class DriftResult:
     thresholds: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "metric": self.metric,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "verdict": self.verdict,
-            "thresholds": dict(self.thresholds),
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,8 @@ class TestSchemaEntries:
             {"name": 3},
             {"extra": 1},
             {"kind": "categorical", "valid_categories": "NS"},
+            {"kind": "categorical", "valid_categories": {"N": 1}},
+            {"valid_range": [True, 2]},
         ],
     )
     def test_bad_column_entry_exits_2(self, tmp_path, capsys, change):

@@ -81,6 +81,33 @@ class TestSchema:
         assert again.names == schema.names
         assert again.column("age").valid_range == (0.0, 120.0)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # each was accepted, or ended in a bare TypeError, when the
+            # checks ran only on the JSON path ("NS" matched labels by substring)
+            dict(name="g", kind="categorical", valid_categories="NS"),
+            dict(name=3, kind="numeric"),
+            dict(name="x", kind="numeric", valid_range=(0, "x")),
+            dict(name="x", kind="numeric", valid_range=(0, 1, 2)),
+        ],
+    )
+    def test_malformed_spec_built_in_code_rejected(self, spec):
+        with pytest.raises(SchemaError):
+            ColumnSpec(**spec)
+
+    def test_rules_round_trip_to_equal_specs(self):
+        schema = Schema(
+            [
+                ColumnSpec("age", "numeric", valid_range=[0, 120]),
+                ColumnSpec("grade", "categorical", valid_categories=["B", "A"]),
+            ]
+        )
+        doc = schema.to_json_dict()
+        assert doc["columns"][0]["valid_range"] == [0.0, 120.0]
+        assert doc["columns"][1]["valid_categories"] == ["A", "B"]
+        assert Schema.from_json_dict(doc).columns == schema.columns == feature_schema().columns
+
 
 class TestLoadCsv:
     def test_identity_parse(self, tmp_path):

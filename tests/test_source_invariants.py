@@ -110,6 +110,17 @@ def test_scored_role_fields_only_in_data_module():
     assert found == []
 
 
+def test_column_rules_only_in_column_spec():
+    # a column's field rules are written once, in ColumnSpec.__post_init__,
+    # so a schema built in code meets the same checks as one read from JSON
+    import inspect
+
+    from modelwatch.data import Schema
+
+    source = inspect.getsource(Schema.from_json_dict)
+    assert [word for word in ("valid_range", "valid_categories") if word in source] == []
+
+
 def test_import_loads_no_scipy():
     # scipy.stats alone took over a second to import, on every CLI run; the
     # library imports scipy inside the functions that need it
