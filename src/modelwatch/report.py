@@ -463,20 +463,21 @@ def run_monitor(cfg: MonitorConfig) -> MonitoringReport:
         "reference": fingerprint_dataset(data.reference),
         "current": fingerprint_dataset(data.current),
     }
-    # an optional dataset that cannot be loaded (the weakness stage meets
-    # the same error when it reads train) or a failing stage yields a
-    # structured error and an incomplete report instead of aborting the run
-    status = "complete"
-    try:
-        if data.train is not None:
-            datasets["train"] = fingerprint_dataset(data.train)
-    except Exception as exc:
-        status = "incomplete"
-        datasets["train"] = {"error": f"{type(exc).__name__}: {exc}"}
-
     sections = {name: run_stage(name, cfg, data) for name in SECTIONS}
+    status = "complete"
     if any(section["status"] == "error" for section in sections.values()):
         status = "incomplete"
+    # fingerprinted after the stages, so an optional dataset is not held in
+    # memory through the stages before the one that reads it; one that cannot
+    # be loaded, like a failing stage, yields a structured error and an
+    # incomplete report instead of aborting the run
+    for key in ("train", "calibration"):
+        try:
+            if getattr(data, key) is not None:
+                datasets[key] = fingerprint_dataset(getattr(data, key))
+        except Exception as exc:
+            status = "incomplete"
+            datasets[key] = {"error": f"{type(exc).__name__}: {exc}"}
 
     alerts = collect_alerts(sections)
     digest = config_digest(cfg.effective)

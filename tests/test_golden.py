@@ -73,8 +73,8 @@ GOLDEN = {
     "extras": (
         0.3,
         EXTRAS,
-        "1f14fad3293e85ecfda21d537012e5563d2ac6f802b1137182196c1d38c8c594",
-        "89bd1ba5ce27f8a7280802b8f7ac38c6e4dbf628313d68b4d9545f73673e73a1",
+        "3b823a0312dab84543c682af097a1bcd4fcc04f2de98b91faa41ca00ae7172ce",
+        "55776721333eb9f3eea491df460489432c55f929e9f3c43574de993aae990d78",
     ),
     "rules": (
         0.3,

@@ -7,6 +7,7 @@ import pytest
 from modelwatch import outcome
 from modelwatch import report as report_module
 from modelwatch.config import parse_config
+from modelwatch.data import Schema, write_csv
 from modelwatch.report import (
     collect_alerts,
     exit_code_for,
@@ -15,7 +16,7 @@ from modelwatch.report import (
     run_monitor,
 )
 
-from conftest import pipeline_dataset, write_pipeline_fixture
+from conftest import PIPELINE_SCHEMA_DOC, pipeline_dataset, write_pipeline_fixture
 
 
 def count_verdicts(node):
@@ -206,6 +207,21 @@ class TestReportShape:
         assert a["rows"] == b["rows"]
         assert a["columns"]["x0"] != b["columns"]["x0"]
         assert a == fingerprint_dataset(pipeline_dataset(seed=1, n=50))
+
+    def test_run_id_covers_the_calibration_data(self, tmp_path):
+        # calibration was not fingerprinted: two runs whose calibration files
+        # differed shared a run_id although their uncertainty sections did not
+        schema = Schema.from_json_dict(PIPELINE_SCHEMA_DOC)
+        overrides = {"data": {"calibration": "calibration.csv"}}
+        cfg = parse_config(write_pipeline_fixture(tmp_path, shift=0.0, config_overrides=overrides))
+        reports = []
+        for seed in (9, 10):
+            write_csv(pipeline_dataset(seed=seed, n=300), tmp_path / "calibration.csv", schema)
+            reports.append(run_monitor(cfg))
+        a, b = reports
+        assert a.sections["uncertainty"]["q_hat"] != b.sections["uncertainty"]["q_hat"]
+        assert a.datasets["calibration"] != b.datasets["calibration"]
+        assert a.run_id != b.run_id
 
     def test_render_text_lists_alerts(self, tmp_path):
         cfg = parse_config(write_pipeline_fixture(tmp_path, shift=0.75))
