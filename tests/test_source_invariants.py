@@ -1,6 +1,7 @@
 """Source-level checks on the library package."""
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import modelwatch
+from modelwatch.data import Schema
 
 PACKAGE = Path(modelwatch.__file__).parent
 
@@ -113,10 +115,6 @@ def test_scored_role_fields_only_in_data_module():
 def test_column_rules_only_in_column_spec():
     # a column's field rules are written once, in ColumnSpec.__post_init__,
     # so a schema built in code meets the same checks as one read from JSON
-    import inspect
-
-    from modelwatch.data import Schema
-
     source = inspect.getsource(Schema.from_json_dict)
     assert [word for word in ("valid_range", "valid_categories") if word in source] == []
 
