@@ -17,7 +17,7 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import compress
 from numbers import Real
-from typing import Iterable, Mapping, Sequence
+from typing import Generic, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -45,6 +45,7 @@ SCORED_ROLES = {
     "split_tag": ("split_tag", object),
 }
 ROLES = ("feature", *SCORED_ROLES)
+_C = TypeVar("_C")  # the column type a schema or frame holds
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -96,7 +97,32 @@ class ColumnSpec:
             object.__setattr__(self, "valid_categories", frozenset(vc))
 
 
-class Schema:
+class _NamedColumns(Generic[_C]):
+    """Columns with unique names, kept in order and looked up by name."""
+
+    def __init__(self, columns: Sequence[_C]):
+        names = [c.name for c in columns]
+        if len(set(names)) != len(names):
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            raise SchemaError(f"duplicate column names: {dupes}")
+        self.columns: tuple[_C, ...] = tuple(columns)
+        self._by_name = {c.name: c for c in self.columns}
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(c.name for c in self.columns)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._by_name
+
+    def column(self, name: str) -> _C:
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise MissingColumn(name) from None
+
+
+class Schema(_NamedColumns[ColumnSpec]):
     """Typed column layout for a dataset.
 
     Column names are unique and each non-feature role (target, prediction,
@@ -106,10 +132,7 @@ class Schema:
     """
 
     def __init__(self, columns: Sequence[ColumnSpec]):
-        names = [c.name for c in columns]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise SchemaError(f"duplicate column names: {dupes}")
+        super().__init__(columns)
         seen_roles: dict[str, str] = {}
         for c in columns:
             if c.role == "feature":
@@ -123,21 +146,10 @@ class Schema:
                 raise SchemaError(f"column {c.name!r}: role {c.role!r} must be numeric")
         if ("prediction_lower" in seen_roles) != ("prediction_upper" in seen_roles):
             raise SchemaError("prediction_lower and prediction_upper must both be present")
-        self.columns: tuple[ColumnSpec, ...] = tuple(columns)
-        self._by_name = {c.name: c for c in self.columns}
         self._by_role = seen_roles
 
     def __iter__(self):
         return iter(self.columns)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def column(self, name: str) -> ColumnSpec:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise MissingColumn(name) from None
 
     def role_column(self, role: str) -> str | None:
         return self._by_role.get(role)
@@ -145,10 +157,6 @@ class Schema:
     @property
     def feature_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns if c.role == "feature")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
 
     def is_scored(self) -> bool:
         return "target" in self._by_role and "prediction" in self._by_role
@@ -264,49 +272,28 @@ class CategoricalColumn:
 Column = NumericColumn | CategoricalColumn
 
 
-class FeatureFrame:
+class FeatureFrame(_NamedColumns[Column]):
     """Immutable columnar table of typed feature columns with missingness masks."""
 
     def __init__(self, columns: Sequence[Column]):
         if not columns:
             raise SchemaError("frame needs at least one column")
-        names = [c.name for c in columns]
-        if len(set(names)) != len(names):
-            raise SchemaError("duplicate column names in frame")
+        super().__init__(columns)
         n = len(columns[0].missing_mask)
         for c in columns:
             if len(c.missing_mask) != n:
                 raise SchemaError(f"column {c.name!r} has {len(c.missing_mask)} rows, expected {n}")
-        self._columns: tuple[Column, ...] = tuple(columns)
-        self._by_name = {c.name: c for c in self._columns}
         self._n_rows = n
 
     @property
     def n_rows(self) -> int:
         return self._n_rows
 
-    @property
-    def columns(self) -> tuple[Column, ...]:
-        return self._columns
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self._columns)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def column(self, name: str) -> Column:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise MissingColumn(name) from None
-
     def numeric_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self._columns if isinstance(c, NumericColumn))
+        return tuple(c.name for c in self.columns if isinstance(c, NumericColumn))
 
     def categorical_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self._columns if isinstance(c, CategoricalColumn))
+        return tuple(c.name for c in self.columns if isinstance(c, CategoricalColumn))
 
     def numeric_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
         """Stack numeric columns into an (n_rows, k) float matrix; NaN at missing."""
@@ -329,12 +316,12 @@ class FeatureFrame:
 
     def take(self, idx) -> "FeatureFrame":
         idx = _as_row_indices(idx)
-        return FeatureFrame([c.take(idx) for c in self._columns])
+        return FeatureFrame([c.take(idx) for c in self.columns])
 
     def replace_column(self, column: Column) -> "FeatureFrame":
-        if column.name not in self._by_name:
+        if column.name not in self:
             raise MissingColumn(column.name)
-        return FeatureFrame([column if c.name == column.name else c for c in self._columns])
+        return FeatureFrame([column if c.name == column.name else c for c in self.columns])
 
     @classmethod
     def from_numeric(cls, matrix, names: Sequence[str] | None = None) -> "FeatureFrame":

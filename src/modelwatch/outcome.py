@@ -292,18 +292,15 @@ def segment_by_bins(
         if edge_arr.ndim != 1 or edge_arr.size < 2 or np.any(np.diff(edge_arr) < 0):
             raise ValueError("explicit edges must be ascending with >= 2 entries")
 
-    n_bins = max(len(edge_arr) - 1, 1)
-    if edge_arr[0] == edge_arr[-1]:
-        labels = _bin_labels(feature, edge_arr[[0, -1]])
-        ids = np.zeros(frame.n_rows, dtype=np.int64)
-        in_range = col.values == edge_arr[0]
-    else:
-        labels = _bin_labels(feature, edge_arr)
-        with np.errstate(invalid="ignore"):
-            ids = np.searchsorted(edge_arr, col.values, side="right") - 1
-            ids = np.where(col.values == edge_arr[-1], n_bins - 1, ids)  # close the last bin
-            in_range = (col.values >= edge_arr[0]) & (col.values <= edge_arr[-1])
-        ids = np.clip(ids, 0, n_bins - 1)
+    if edge_arr[0] == edge_arr[-1]:  # all edges equal: one closed bin [a, a]
+        edge_arr = edge_arr[[0, -1]]
+    n_bins = len(edge_arr) - 1
+    labels = _bin_labels(feature, edge_arr)
+    with np.errstate(invalid="ignore"):
+        ids = np.searchsorted(edge_arr, col.values, side="right") - 1
+        ids = np.where(col.values == edge_arr[-1], n_bins - 1, ids)  # close the last bin
+        in_range = (col.values >= edge_arr[0]) & (col.values <= edge_arr[-1])
+    ids = np.clip(ids, 0, n_bins - 1)
 
     out_of_range = ~col.missing_mask & ~in_range
     if col.missing_mask.any():
@@ -352,9 +349,9 @@ def kmeans(
         closest_sq = np.minimum(closest_sq, exact_sq_dists(centroids[j : j + 1], Z)[0])
 
     rows = np.arange(n)
-    prev_inertia = np.inf
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    prev_inertia = movement = np.inf
+    n_iter = 0  # centroid updates made
+    while True:  # assign, check, then stop or update
         d2 = exact_sq_dists(centroids, Z)
         ids = np.argmin(d2, axis=0)  # the first minimum: the lower centroid
         inertia = float(d2[ids, rows].sum())
@@ -362,7 +359,10 @@ def kmeans(
             raise InvariantViolation(
                 f"k-means inertia increased from {prev_inertia!r} to {inertia!r}"
             )
+        if movement < tol or n_iter >= max_iter:
+            break
         prev_inertia = inertia
+        n_iter += 1
 
         new_centroids = centroids.copy()
         for j in range(k):
@@ -377,12 +377,7 @@ def kmeans(
                 new_centroids[j] = Z[farthest[slot]]
         movement = float(np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1))))
         centroids = new_centroids
-        if movement < tol:
-            break
 
-    d2 = exact_sq_dists(centroids, Z)
-    ids = np.argmin(d2, axis=0)
-    inertia = float(d2[ids, rows].sum())
     labels = tuple(f"cluster {j}" for j in range(k))
     return KMeansAssignment(
         segment_ids=np.asarray(ids, dtype=np.int64),

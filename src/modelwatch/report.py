@@ -457,12 +457,7 @@ def run_stage(name: str, cfg: MonitorConfig, data: RunInputs) -> dict:
 def run_monitor(cfg: MonitorConfig) -> MonitoringReport:
     """Execute the full monitoring pipeline under a parsed config."""
     data = RunInputs(cfg)
-    if not isinstance(data.reference, ScoredDataset) or not isinstance(data.current, ScoredDataset):
-        raise ConfigError("monitoring needs scored datasets: schema must define target and prediction")
-    datasets = {
-        "reference": fingerprint_dataset(data.reference),
-        "current": fingerprint_dataset(data.current),
-    }
+    datasets = {key: fingerprint_dataset(data.scored(key)) for key in ("reference", "current")}
     sections = {name: run_stage(name, cfg, data) for name in SECTIONS}
     status = "complete"
     if any(section["status"] == "error" for section in sections.values()):

@@ -58,6 +58,23 @@ class TestSchema:
         with pytest.raises(SchemaError):
             Schema([ColumnSpec("a", "numeric"), ColumnSpec("a", "numeric")])
 
+    def test_schema_and_frame_name_their_duplicate_columns(self):
+        # one unique-name check serves both containers, with the same message
+        with pytest.raises(SchemaError, match=re.escape("duplicate column names: ['a']")):
+            Schema([ColumnSpec("a", "numeric"), ColumnSpec("b", "numeric"), ColumnSpec("a", "numeric")])
+        with pytest.raises(SchemaError, match=re.escape("duplicate column names: ['a']")):
+            FeatureFrame.from_numeric(np.zeros((3, 3)), ["a", "b", "a"])
+
+    def test_schema_and_frame_lookup_by_name(self):
+        schema = simple_schema(scored=False)
+        frame = FeatureFrame.from_numeric(np.zeros((3, 2)), ["x0", "x1"])
+        for container in (schema, frame):
+            assert container.names == ("x0", "x1")
+            assert "x1" in container and "y" not in container
+            assert container.column("x1") is container.columns[1]
+            with pytest.raises(MissingColumn):
+                container.column("y")
+
     def test_two_targets_rejected(self):
         with pytest.raises(SchemaError):
             Schema(

@@ -8,6 +8,7 @@ from modelwatch import outcome
 from modelwatch import report as report_module
 from modelwatch.config import parse_config
 from modelwatch.data import Schema, write_csv
+from modelwatch.errors import ConfigError
 from modelwatch.report import (
     collect_alerts,
     exit_code_for,
@@ -60,6 +61,12 @@ class TestRunMonitor:
         assert exit_code_for(report) == 4
         # the concept stage sees the shifted inputs but an unchanged function
         assert report.sections["concept_drift"]["diagnosis"]["drift_type"] == "input_drift"
+
+    def test_unscored_schema_is_a_config_error(self, tmp_path):
+        features = [c for c in PIPELINE_SCHEMA_DOC["columns"] if c["role"] == "feature"]
+        cfg = parse_config(write_pipeline_fixture(tmp_path, config_overrides={"schema": {"columns": features}}))
+        with pytest.raises(ConfigError, match="reference dataset must carry target and prediction"):
+            run_monitor(cfg)
 
     def test_alert_count_matches_embedded_verdicts(self, tmp_path):
         for shift in (0.0, 0.3, 0.75):
