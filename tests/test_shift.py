@@ -84,6 +84,14 @@ class TestKs:
         with pytest.raises(EmptySample):
             ks_two_sample([], [1.0])
 
+    def test_p_value_matches_scipy_kolmogorov(self):
+        # the 100-term series alone gave 0.867 at lambda 0.01 and 0.020 at 0.001
+        from scipy.special import kolmogorov
+
+        grid = np.concatenate([[1e-6, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.15], np.linspace(0.16, 3.0, 200)])
+        ours = np.array([shift._kolmogorov_sf(lam) for lam in grid])
+        np.testing.assert_allclose(ours, kolmogorov(grid), rtol=0, atol=1e-12)
+
     def test_shifted_samples_have_small_p(self, rng):
         x = rng.normal(size=300)
         y = rng.normal(size=300) + 2.0
