@@ -2,9 +2,12 @@
 
 Protocol: the command receives the frame as RFC-4180 CSV (header row plus
 one row per record) on stdin and must write exactly one decimal prediction
-per input row to stdout, in order. Its stderr is passed through. Nonzero
-exit status, unparsable output, a row-count mismatch, or exceeding the
-timeout raise :class:`ModelProtocolError` with the matching reason.
+per input row to stdout, in order. A prediction follows the number rule of
+CSV cells: a finite ASCII number as ``float()`` reads it, without ``_``
+digit separators; surrounding ASCII whitespace is accepted. Its stderr is
+passed through. Nonzero exit status, unparsable output, a row-count
+mismatch, or exceeding the timeout raise :class:`ModelProtocolError` with
+the matching reason.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureFrame, feature_cells
+from .data import FeatureFrame, _plain_number_text, feature_cells
 from .errors import ModelProtocolError
 
 
@@ -72,7 +75,9 @@ def score_external(model: ExternalModel, frame: FeatureFrame) -> np.ndarray:
     predictions = np.empty(len(lines), dtype=np.float64)
     for i, line in enumerate(lines):
         try:
-            predictions[i] = float(line.strip())
+            if not _plain_number_text(line):
+                raise ValueError(line)
+            predictions[i] = float(line)
         except ValueError:
             raise ModelProtocolError("parse", f"line {i + 1}: not a decimal: {line!r}") from None
         if not np.isfinite(predictions[i]):

@@ -42,6 +42,14 @@ for i in range(n):
     print("nan")
 """
 
+CONSTANT_MODEL = """\
+import sys
+data = sys.stdin.read()
+n = data.count("\\n") - 1
+for i in range(n):
+    print({line!r})
+"""
+
 SLEEPER_MODEL = """\
 import sys, time
 sys.stdin.read()
@@ -97,6 +105,18 @@ class TestScoreExternal:
         with pytest.raises(ModelProtocolError) as exc:
             score_external(model, frame)
         assert str(exc.value) == "[parse] line 1: not a finite decimal: 'nan'"
+
+    @pytest.mark.parametrize("line", ["1_000", "\u0661\u0662", "\u00a02.5", "2.5\u2003"])
+    def test_number_outside_the_csv_rule_is_parse_error(self, tmp_path, frame, line):
+        # float() reads these as 1000.0, 12.0 and 2.5; a CSV cell may not hold them
+        model = ExternalModel(model_command(tmp_path, CONSTANT_MODEL.format(line=line), "constant.py"))
+        with pytest.raises(ModelProtocolError) as exc:
+            score_external(model, frame)
+        assert str(exc.value) == f"[parse] line 1: not a decimal: {line!r}"
+
+    def test_surrounding_ascii_whitespace_accepted(self, tmp_path, frame):
+        model = ExternalModel(model_command(tmp_path, CONSTANT_MODEL.format(line=" \t2.5 "), "constant.py"))
+        np.testing.assert_array_equal(score_external(model, frame), np.full(frame.n_rows, 2.5))
 
     def test_timeout(self, tmp_path, frame):
         model = ExternalModel(model_command(tmp_path, SLEEPER_MODEL, "sleeper.py"), timeout=1.0)
