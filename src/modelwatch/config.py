@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cached_property
+from numbers import Integral, Real
 from pathlib import Path
 from typing import get_type_hints
 
@@ -134,12 +135,22 @@ def _strings(value) -> list[str]:
     raise TypeError
 
 
-# field type -> (coercion, the JSON value it takes)
+def _only(kind, convert=lambda v: v):
+    """A coercion that takes only instances of ``kind``, never a bool."""
+    def coerce(value):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise TypeError
+        return convert(value)
+    return coerce
+
+
+# field type -> (coercion, the JSON value it takes); a value of another JSON
+# type is an error, never converted
 COERCIONS = {
-    int: (int, "an integer"),
-    float: (float, "a number"),
-    str: (str, "a string"),
-    str | None: (lambda v: None if v is None else str(v), "a string or null"),
+    int: (_only(Integral, int), "an integer"),
+    float: (_only(Real, float), "a number"),
+    str: (_only(str), "a string"),
+    str | None: (lambda v: None if v is None else _only(str)(v), "a string or null"),
     tuple[str, ...]: (lambda v: tuple(_strings(v)), "a list of strings"),
     frozenset[str]: (lambda v: frozenset(_strings(v)), "a list of strings"),
 }
@@ -164,7 +175,7 @@ def _parse_thresholds(doc: dict) -> dict[str, tuple[float, float]]:
         if key not in METRICS:
             raise ConfigError(f"unknown threshold {key!r}; valid: {sorted(METRICS)}", pointer)
         try:
-            warn, fail = float(pair["warn"]), float(pair["fail"])
+            warn, fail = (_only(Real, float)(pair[bound]) for bound in ("warn", "fail"))
         except (KeyError, TypeError, ValueError):
             raise ConfigError("needs numeric 'warn' and 'fail'", pointer) from None
         high = METRICS[key].direction == "high"

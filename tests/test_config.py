@@ -140,6 +140,17 @@ class TestValueErrors:
             ("robustness", "irrelevant_features", "x0", "/robustness/irrelevant_features"),
             ("drift", "numeric_metrics", "ks", "/drift/numeric_metrics"),
             ("drift", None, [], "/drift"),
+            # no value is converted to another JSON type
+            ("drift", "n_permutations", 199.9, "/drift/n_permutations"),
+            ("drift", "n_permutations", 199.0, "/drift/n_permutations"),
+            (None, "seed", 3.9, "/seed"),
+            ("drift", "bins", "7", "/drift/bins"),
+            ("conformal", "alpha", "0.2", "/conformal/alpha"),
+            ("model", "timeout", True, "/model/timeout"),
+            ("robustness", "n_repeats", True, "/robustness/n_repeats"),
+            ("model", "command", 5, "/model/command"),
+            ("thresholds", "psi", {"warn": "0.1", "fail": 0.25}, "/thresholds/psi"),
+            ("thresholds", "psi", {"warn": 0.1, "fail": True}, "/thresholds/psi"),
         ],
     )
     def test_wrong_type_is_config_error(self, section, key, value, pointer):
