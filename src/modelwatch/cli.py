@@ -89,9 +89,17 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "report":
-            with open(args.in_path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            report = MonitoringReport(**{f.name: doc[f.name] for f in fields(MonitoringReport)})
+            keys = [f.name for f in fields(MonitoringReport)]
+            try:
+                with open(args.in_path, encoding="utf-8") as fh:
+                    doc = json.load(fh)  # its decode errors are ValueErrors too
+                missing = [key for key in keys if key not in doc] if isinstance(doc, dict) else keys
+                if missing:
+                    raise ValueError(f"not a saved report: missing keys {missing}")
+            except ValueError as exc:
+                sys.stderr.write(f"error: {args.in_path}: {exc}\n")
+                return 2
+            report = MonitoringReport(**{key: doc[key] for key in keys})
             _emit(render_report(report, args.format), args.out)
             return 0
 

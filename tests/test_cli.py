@@ -299,6 +299,22 @@ class TestReportCommand:
         assert proc.returncode == 0
         assert "[FAIL]" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("{not json", "Expecting property name"),
+            ("[1, 2]", "not a saved report: missing keys ['run_id'"),
+            ('{"run_id": "x"}', "not a saved report: missing keys ['created_at'"),
+        ],
+    )
+    def test_malformed_saved_report_exits_2(self, tmp_path, content, message):
+        saved = tmp_path / "report.json"
+        saved.write_text(content)
+        proc = run_cli(["report", "--in", str(saved)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {saved}: ")
+        assert message in proc.stderr
+
     def test_monitor_text_format(self, tmp_path):
         config = write_pipeline_fixture(tmp_path, shift=0.0)
         proc = run_cli(["monitor", "--config", str(config), "--format", "text"])
