@@ -119,6 +119,15 @@ def test_column_rules_only_in_column_spec():
     assert [word for word in ("valid_range", "valid_categories") if word in source] == []
 
 
+def test_column_lookup_and_unique_names_once_in_data_module():
+    # Schema and FeatureFrame share one by-name lookup and one unique-name
+    # check; a second copy lets their errors drift apart
+    source = (PACKAGE / "data.py").read_text(encoding="utf-8")
+    assert source.count("raise MissingColumn(name) from None") == 1
+    assert len(re.findall(r"len\(set\((\w+)\)\) != len\(\1\)", source)) == 1
+    assert source.count("duplicate column names") == 1
+
+
 def test_import_loads_no_scipy():
     # scipy.stats alone took over a second to import, on every CLI run; the
     # library imports scipy inside the functions that need it
