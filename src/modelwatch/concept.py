@@ -25,7 +25,6 @@ from .errors import (
     EmptySample,
     LengthMismatch,
     NoTimestamps,
-    SchemaMismatch,
     TooFewRows,
 )
 from .outcome import DEFAULT_MIN_ROWS, align_labels, resolve_metric, score_groups, segment_by_bins
@@ -96,8 +95,7 @@ def nn_match(
     development data; ties break toward the lower development index.
     Development rows may match many new rows (sampling with replacement).
     """
-    if new.names != dev.names:
-        raise SchemaMismatch("new and development frames disagree on columns")
+    new.check_same_columns(dev, "new and development frames")
     if dev.n_rows == 0:
         raise EmptyDevSet("development set is empty")
     if k < 1 or k > dev.n_rows:
@@ -326,10 +324,8 @@ def segment_error_tracking(
     """
     if not batches:
         raise EmptySample("segment_error_tracking needs at least one batch")
-    names = batches[0].frame.names
     for b in batches[1:]:
-        if b.frame.names != names:
-            raise SchemaMismatch("batches disagree on columns")
+        batches[0].frame.check_same_columns(b.frame, "batches")
     metric = resolve_metric(metric, *(ds.y_true for ds in batches))
     labels, batch_ids = align_labels([segment_by_bins(ds.frame, feature, edges) for ds in batches])
     sids = range(len(labels))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import compress
+from itertools import compress, zip_longest
 from numbers import Real
 from typing import Generic, Iterable, Mapping, Sequence, TypeVar
 
@@ -27,6 +27,7 @@ from .errors import (
     EmptyDataset,
     MissingColumn,
     SchemaError,
+    SchemaMismatch,
     ShortRow,
     TypeParseError,
 )
@@ -288,6 +289,13 @@ class FeatureFrame(_NamedColumns[Column]):
     @property
     def n_rows(self) -> int:
         return self._n_rows
+
+    def check_same_columns(self, other: "FeatureFrame", what: str) -> None:
+        """Raise ``SchemaMismatch`` at the first column whose name or kind differs in ``other``."""
+        for i, pair in enumerate(zip_longest(self.columns, other.columns)):
+            a, b = ("no column" if c is None else f"{c.name!r} ({c.kind})" for c in pair)
+            if a != b:
+                raise SchemaMismatch(f"{what} disagree on columns: column {i} is {a} vs {b}")
 
     def numeric_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns if isinstance(c, NumericColumn))

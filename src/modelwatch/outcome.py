@@ -463,8 +463,7 @@ def fit_gap(
     underfit when both its train and test metrics exceed
     underfit_multiplier times the respective overall values.
     """
-    if train.frame.names != test.frame.names:
-        raise SchemaMismatch("train and test frames disagree on columns")
+    train.frame.check_same_columns(test.frame, "train and test frames")
     metric = resolve_metric(metric, train.y_true, test.y_true)
 
     if feature is None:

@@ -16,6 +16,7 @@ import json
 import os
 import warnings
 from collections import Counter
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -27,7 +28,7 @@ from . import outcome, quality
 from .concept import classify_drift
 from .config import MonitorConfig
 from .data import SCORED_ROLES, FeatureFrame, NumericColumn, ScoredDataset, load_csv
-from .errors import ConfigError
+from .errors import ConfigError, RangeError
 from .external import ExternalModel
 from .shift import METRICS, DriftResult, apply_thresholds, drift_scan
 
@@ -118,6 +119,12 @@ def _created_at() -> str:
 def _verdict(cfg: MonitorConfig, key: str, value: float) -> str:
     warn, fail = cfg.thresholds[key]
     return apply_thresholds(value, warn, fail, METRICS[key].direction)
+
+
+def _node(result, drop: str = "", **renamed: str) -> dict:
+    """A result dataclass as a report node: its fields but ``drop``, renamed ``new="old"``."""
+    new_name = {old: new for new, old in renamed.items()}
+    return {new_name.get(k, k): v for k, v in asdict(result).items() if k != drop}
 
 
 class RunInputs:
@@ -228,8 +235,7 @@ def concept_section(
     reference, imputed_ref = _impute_numeric_medians(reference)
     current, imputed_cur = _impute_numeric_medians(current)
     diag = classify_drift(reference, current, cfg.concept_drift, input_scan=scan)
-    residual_test = asdict(diag.residual_test)
-    residual_test["test"] = residual_test.pop("test_name")
+    residual_test = _node(diag.residual_test, test="test_name")
     severity = {
         "no_drift": "pass",
         "input_drift": "warn",
@@ -314,10 +320,8 @@ def uncertainty_section(
         "coverage_shortfall": shortfall,
         "verdict": _verdict(cfg, "coverage_shortfall", shortfall),
     }
-    if outcome.default_error_metric(current.y_true) == "error_rate":
-        preds = current.y_pred
-        if np.all((preds >= 0) & (preds <= 1)):
-            section["brier_score"] = cp.brier_score(preds, current.y_true)
+    with suppress(RangeError):  # no Brier score unless 0/1 outcomes and [0, 1] predictions
+        section["brier_score"] = cp.brier_score(current.y_pred, current.y_true)
     return section
 
 
@@ -331,22 +335,12 @@ def weakness_section(
     section: dict = {
         "status": "ok",
         "metric": regions[0].metric if regions else outcome.default_error_metric(current.y_true),
-        "regions": [
-            {
-                "feature": r.feature,
-                "range": r.range_label,
-                "rows": r.rows,
-                "value": r.value,
-                "lift": r.lift,
-            }
-            for r in regions[:20]
-        ],
+        "regions": [_node(r, "metric", range="range_label") for r in regions[:20]],
     }
     if train is not None:
         gaps = {}
         for feature in seg.features:
-            gaps[feature] = asdict(outcome.fit_gap(train, current, feature, seg.bins))
-            gaps[feature]["segments"] = gaps[feature].pop("rows")
+            gaps[feature] = _node(outcome.fit_gap(train, current, feature, seg.bins), segments="rows")
         section["fit_gap"] = gaps
     return section
 
@@ -364,14 +358,7 @@ def robustness_section(cfg: MonitorConfig, current: ScoredDataset) -> dict:
         "status": "ok",
         "noise_fraction": rob.noise_fraction,
         "n_repeats": rob.n_repeats,
-        "sensitivity": [
-            {
-                "feature": row.feature,
-                "mean_abs_delta": row.mean_abs_delta,
-                "p95_abs_delta": row.p95_abs_delta,
-            }
-            for row in sensitivity.rows
-        ],
+        "sensitivity": [_node(row, "noise_scale") for row in sensitivity.rows],
     }
     if rob.irrelevant_features:
         inv = outcome.invariance_test(

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._geometry import PcaBasis, fit_pca, row_blocks, sq_dists
 from .data import FeatureFrame, NumericColumn, ScoredDataset
-from .errors import DimensionMismatch, EmptySample, SchemaError, SchemaMismatch
+from .errors import DimensionMismatch, EmptySample, SchemaError
 
 DEFAULT_BINS = 10
 DEFAULT_EPSILON = 1e-6
@@ -553,14 +553,6 @@ def apply_thresholds(value: float, warn: float, fail: float, direction: str = "h
     return "pass"
 
 
-def _frames_compatible(a: FeatureFrame, b: FeatureFrame) -> None:
-    if a.names != b.names:
-        raise SchemaMismatch(f"column names differ: {a.names} vs {b.names}")
-    for name in a.names:
-        if type(a.column(name)) is not type(b.column(name)):
-            raise SchemaMismatch(f"column {name!r} kind differs between frames")
-
-
 def _evaluate(metric: str, kind: str, feature: str | None, s: _Samples) -> DriftResult:
     """Compute one metric and threshold it in its direction: the p-value
     against (warn_p, fail_p) for "low" metrics, else the statistic against
@@ -602,7 +594,7 @@ def drift_scan(
     cfg = config or DriftScanConfig()
     ref = reference.frame if isinstance(reference, ScoredDataset) else reference
     cur = current.frame if isinstance(current, ScoredDataset) else current
-    _frames_compatible(ref, cur)
+    ref.check_same_columns(cur, "reference and current frames")
 
     blocks: list[tuple[str, str | None, tuple[str, ...], _Samples]] = []  # kind, feature, metrics
     for name in ref.names:
