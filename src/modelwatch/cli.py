@@ -99,8 +99,12 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 sys.stderr.write(f"error: {args.in_path}: {exc}\n")
                 return 2
-            report = MonitoringReport(**{key: doc[key] for key in keys})
-            _emit(render_report(report, args.format), args.out)
+            try:
+                text = render_report(MonitoringReport(**{key: doc[key] for key in keys}), args.format)
+            except (AttributeError, KeyError, TypeError) as exc:  # a section or alert of another shape
+                sys.stderr.write(f"error: {args.in_path}: not a saved report: {exc!r}\n")
+                return 2
+            _emit(text, args.out)
             return 0
 
         cfg = _load_config(args)

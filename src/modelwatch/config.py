@@ -13,6 +13,7 @@ Dataset paths are resolved relative to the config file's directory.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cached_property
 from numbers import Integral, Real
@@ -135,6 +136,13 @@ def _strings(value) -> list[str]:
     raise TypeError
 
 
+def _finite(value: Real) -> float:
+    """``value`` as a float; NaN or an infinity, where no threshold or rule could fire, raises."""
+    if not math.isfinite(value):
+        raise ValueError
+    return float(value)
+
+
 def _only(kind, convert=lambda v: v):
     """A coercion that takes only instances of ``kind``, never a bool."""
     def coerce(value):
@@ -148,7 +156,7 @@ def _only(kind, convert=lambda v: v):
 # type is an error, never converted
 COERCIONS = {
     int: (_only(Integral, int), "an integer"),
-    float: (_only(Real, float), "a number"),
+    float: (_only(Real, _finite), "a finite number"),
     str: (_only(str), "a string"),
     str | None: (lambda v: None if v is None else _only(str)(v), "a string or null"),
     tuple[str, ...]: (lambda v: tuple(_strings(v)), "a list of strings"),
@@ -175,9 +183,9 @@ def _parse_thresholds(doc: dict) -> dict[str, tuple[float, float]]:
         if key not in METRICS:
             raise ConfigError(f"unknown threshold {key!r}; valid: {sorted(METRICS)}", pointer)
         try:
-            warn, fail = (_only(Real, float)(pair[bound]) for bound in ("warn", "fail"))
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError("needs numeric 'warn' and 'fail'", pointer) from None
+            warn, fail = (COERCIONS[float][0](pair[bound]) for bound in ("warn", "fail"))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ConfigError("needs finite numeric 'warn' and 'fail'", pointer) from None
         high = METRICS[key].direction == "high"
         if high and warn > fail:
             raise ConfigError(f"warn {warn:g} must not exceed fail {fail:g}", pointer)
