@@ -315,6 +315,35 @@ class TestReportCommand:
         assert proc.stderr.startswith(f"error: {saved}: ")
         assert message in proc.stderr
 
+    @pytest.fixture
+    def saved(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        config, saved = write_pipeline_fixture(tmp_path, shift=0.75), tmp_path / "report.json"
+        assert main(["monitor", "--config", str(config), "--out", str(saved)]) == 4
+        return saved
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("sections", {"drift": {"status": "ok"}}, "KeyError('results')"),
+            ("sections", ["drift"], "AttributeError"),
+            ("alerts", [{"section": "drift"}], "KeyError('severity')"),
+            ("alerts", 3, "TypeError"),
+        ],
+    )
+    def test_saved_report_with_malformed_node_exits_2(self, saved, capsys, key, value, message):
+        doc = json.loads(saved.read_text())
+        doc[key] = value
+        saved.write_text(json.dumps(doc))
+        assert main(["report", "--in", str(saved)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {saved}: not a saved report: ")
+        assert message in err
+
+    def test_saved_report_renders_as_saved(self, saved, capsys):
+        assert main(["report", "--in", str(saved), "--format", "json"]) == 0
+        assert capsys.readouterr().out == saved.read_text()
+
     def test_monitor_text_format(self, tmp_path):
         config = write_pipeline_fixture(tmp_path, shift=0.0)
         proc = run_cli(["monitor", "--config", str(config), "--format", "text"])

@@ -1,3 +1,4 @@
+import re
 import time
 from types import SimpleNamespace
 
@@ -133,6 +134,15 @@ class TestNnMatch:
     def test_schema_mismatch(self):
         with pytest.raises(SchemaMismatch):
             nn_match(make_frame(a=[1.0]), make_frame(b=[1.0]))
+
+    def test_column_kind_mismatch(self):
+        # g numeric in one frame and categorical in the other once reached
+        # the distance code and failed there with a bare numpy ValueError
+        new = make_frame(x=[0.0, 1.0], g=[1.0, 2.0])
+        dev = make_frame(x=[0.0, 1.0, 2.0], g=["a", "b", "a"])
+        message = "new and development frames disagree on columns: column 1 is 'g' (numeric) vs 'g' (categorical)"
+        with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
+            nn_match(new, dev)
 
 
 class TestResidualTest:
@@ -409,3 +419,9 @@ class TestSegmentErrorTracking:
     def test_single_batch(self, rng):
         series = segment_error_tracking([self.make_batch(rng)], "x", [0, 0.5, 1.0])
         assert all(len(row) == 1 for row in series.values)
+
+    def test_batches_with_different_column_kinds(self, rng):
+        batch = self.make_batch(rng, n=4)
+        other = make_scored(make_frame(x=["a", "b", "a", "b"]), batch.y_true, batch.y_pred)
+        with pytest.raises(SchemaMismatch, match="^batches disagree on columns: column 0 is 'x' "):
+            segment_error_tracking([batch, batch, other], "x", [0, 0.5, 1.0])

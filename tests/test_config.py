@@ -13,6 +13,8 @@ from modelwatch.report import config_digest
 
 from conftest import PIPELINE_SCHEMA_DOC, write_pipeline_fixture
 
+NAN, INF = float("nan"), float("inf")
+
 
 def minimal_doc():
     return {
@@ -151,6 +153,15 @@ class TestValueErrors:
             ("model", "command", 5, "/model/command"),
             ("thresholds", "psi", {"warn": "0.1", "fail": 0.25}, "/thresholds/psi"),
             ("thresholds", "psi", {"warn": 0.1, "fail": True}, "/thresholds/psi"),
+            # a number field takes only a finite number: with JSON's NaN or
+            # Infinity, which Python's json reads, a rule could never fire
+            ("thresholds", "psi", {"warn": NAN, "fail": NAN}, "/thresholds/psi"),
+            ("thresholds", "ks", {"warn": 0.05, "fail": -INF}, "/thresholds/ks"),
+            ("thresholds", "psi", {"warn": 0.1, "fail": 10**400}, "/thresholds/psi"),
+            ("model", "timeout", INF, "/model/timeout"),
+            ("drift", "epsilon", INF, "/drift/epsilon"),
+            ("quality", "z_threshold", NAN, "/quality/z_threshold"),
+            ("robustness", "tolerance", NAN, "/robustness/tolerance"),
         ],
     )
     def test_wrong_type_is_config_error(self, section, key, value, pointer):

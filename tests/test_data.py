@@ -31,6 +31,7 @@ from modelwatch.errors import (
     MissingColumn,
     ModelWatchError,
     SchemaError,
+    SchemaMismatch,
     ShortRow,
     TypeParseError,
 )
@@ -124,6 +125,27 @@ class TestSchema:
         assert doc["columns"][0]["valid_range"] == [0.0, 120.0]
         assert doc["columns"][1]["valid_categories"] == ["A", "B"]
         assert Schema.from_json_dict(doc).columns == schema.columns == feature_schema().columns
+
+
+class TestSameColumns:
+    @pytest.mark.parametrize(
+        "other, message",
+        [
+            (dict(x=[1.0], g=["a"]), "column 1 is 'g' (numeric) vs 'g' (categorical)"),
+            (dict(g=[1.0], x=[1.0]), "column 0 is 'x' (numeric) vs 'g' (numeric)"),
+            (dict(x=[1.0]), "column 1 is 'g' (numeric) vs no column"),
+            (dict(x=[1.0], g=[1.0], z=["a"]), "column 2 is no column vs 'z' (categorical)"),
+        ],
+    )
+    def test_first_differing_column_is_named(self, other, message):
+        frame = make_frame(x=[1.0, 2.0], g=[3.0, 4.0])
+        with pytest.raises(SchemaMismatch) as exc:
+            frame.check_same_columns(make_frame(**other), "two frames")
+        assert str(exc.value) == f"two frames disagree on columns: {message}"
+
+    def test_same_names_and_kinds_pass_whatever_the_rows(self):
+        frame = make_frame(x=[1.0, 2.0], g=["a", None])
+        frame.check_same_columns(make_frame(x=[5.0], g=["b"]), "two frames")
 
 
 class TestLoadCsv:

@@ -1,3 +1,4 @@
+import re
 import warnings
 from typing import Sequence
 
@@ -269,6 +270,14 @@ class TestFitGap:
         table = fit_gap(train, test, "x", [0, 0.5, 1.0])
         low = next(r for r in table.rows if "[0, 0.5)" in r.label)
         assert low.flag == "overfit"
+
+    def test_column_kind_mismatch(self):
+        # the same column names with another kind once gave a table silently
+        train = make_scored(make_frame(x=[0.1, 0.6], g=[1.0, 2.0]), [1.0, 0.0], [0.9, 0.2])
+        test = make_scored(make_frame(x=[0.2, 0.7], g=["a", "b"]), [1.0, 0.0], [0.8, 0.1])
+        message = "train and test frames disagree on columns: column 1 is 'g' (numeric) vs 'g' (categorical)"
+        with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}$"):
+            fit_gap(train, test, "x", [0, 0.5, 1.0])
 
     def test_underfit_segment_flagged(self, rng):
         def both_err(x, r):

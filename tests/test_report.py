@@ -17,7 +17,7 @@ from modelwatch.report import (
     run_monitor,
 )
 
-from conftest import PIPELINE_SCHEMA_DOC, pipeline_dataset, write_pipeline_fixture
+from conftest import PIPELINE_SCHEMA_DOC, make_frame, make_scored, pipeline_dataset, write_pipeline_fixture
 
 
 def count_verdicts(node):
@@ -106,6 +106,21 @@ class TestRunMonitor:
         assert section["n_calibration"] == 500
         assert section["q_hat"] > 0
         assert 0.85 <= section["achieved_coverage"] <= 1.0
+
+    @pytest.mark.parametrize(
+        "y_true, y_pred, brier",
+        [
+            ([0.0, 1.0, 1.0, 0.0], [0.2, 0.9, 0.6, 0.0], 0.0525),  # binary, probabilities
+            ([0.0, 1.0, 1.0, 0.0], [0.2, 1.5, 0.6, 0.0], None),  # binary, a score above 1
+            ([0.5, 2.0, 1.0, 3.0], [0.2, 0.9, 0.6, 0.0], None),  # a regression target
+        ],
+    )
+    def test_brier_score_only_for_binary_probabilities(self, tmp_path, y_true, y_pred, brier):
+        cfg = parse_config(write_pipeline_fixture(tmp_path))
+        current = make_scored(make_frame(x0=[0.0] * 4, x1=[1.0] * 4), y_true, y_pred)
+        section = report_module.uncertainty_section(cfg, current, pipeline_dataset(seed=9, n=50))
+        assert section["status"] == "ok"
+        assert section.get("brier_score") == (None if brier is None else pytest.approx(brier))
 
     def test_weakness_section_when_configured(self, tmp_path):
         cfg = parse_config(

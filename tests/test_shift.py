@@ -10,7 +10,7 @@ from modelwatch import shift
 from modelwatch._geometry import sq_dists
 from modelwatch.config import parse_config
 from modelwatch.data import CategoricalColumn, FeatureFrame, NumericColumn
-from modelwatch.errors import DimensionMismatch, EmptySample, SchemaError
+from modelwatch.errors import DimensionMismatch, EmptySample, SchemaError, SchemaMismatch
 from modelwatch.report import run_monitor
 from modelwatch.shift import (
     DEFAULT_EPSILON,
@@ -759,6 +759,13 @@ class TestDriftScan:
         results = drift_scan(ref, cur, DriftScanConfig(multivariate_metrics=()))
         tvd_result = next(r for r in results if r.metric == "tvd")
         assert tvd_result.statistic >= 0.29
+
+    def test_column_kind_mismatch(self):
+        ref = make_frame(x=[0.0, 1.0, 2.0], g=[1.0, 2.0, 1.0])
+        cur = make_frame(x=[0.0, 1.0, 2.0], g=["a", "b", "a"])
+        message = "^reference and current frames disagree on columns: column 1 is 'g' "
+        with pytest.raises(SchemaMismatch, match=message):
+            drift_scan(ref, cur)
 
     def test_nonnegativity_on_random_data(self, rng):
         for _ in range(20):

@@ -128,6 +128,20 @@ def test_column_lookup_and_unique_names_once_in_data_module():
     assert source.count("duplicate column names") == 1
 
 
+def test_frame_columns_compared_only_in_data_module():
+    # FeatureFrame.check_same_columns is the one rule for two frames holding
+    # the same columns; a names-only copy elsewhere let kinds slip through
+    compare = re.compile(r"\.names\s*[!=]=|[!=]=\s*[\w.()\[\]]*\.names\b")
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "data.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if compare.search(line)
+    ]
+    assert found == []
+
+
 def test_import_loads_no_scipy():
     # scipy.stats alone took over a second to import, on every CLI run; the
     # library imports scipy inside the functions that need it
