@@ -27,7 +27,7 @@ from .errors import (
     NoTimestamps,
     TooFewRows,
 )
-from .outcome import DEFAULT_MIN_ROWS, align_labels, resolve_metric, score_groups, segment_by_bins
+from .outcome import DEFAULT_MIN_ROWS, resolve_metric, score_groups, score_segments, segment_by_bins
 from .shift import DriftResult, DriftScanConfig, drift_scan, ks_two_sample
 
 
@@ -327,11 +327,7 @@ def segment_error_tracking(
     for b in batches[1:]:
         batches[0].frame.check_same_columns(b.frame, "batches")
     metric = resolve_metric(metric, *(ds.y_true for ds in batches))
-    labels, batch_ids = align_labels([segment_by_bins(ds.frame, feature, edges) for ds in batches])
-    sids = range(len(labels))
-    columns = [
-        score_groups(ds, (ids == sid for sid in sids), metric, min_rows, threshold)
-        for ds, ids in zip(batches, batch_ids)
-    ]
-    values = [[column[sid][1] for column in columns] for sid in sids]
+    assignments = [segment_by_bins(ds.frame, feature, edges) for ds in batches]
+    labels, columns = score_segments(batches, assignments, metric, min_rows, threshold)
+    values = [[value for _, value in cells] for cells in zip(*columns)]
     return SegmentSeries(labels, values, metric)

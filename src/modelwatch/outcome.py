@@ -243,32 +243,21 @@ def _numeric_feature(frame: FeatureFrame, feature: str) -> NumericColumn:
     return col
 
 
-def _quantile_edges(col: NumericColumn, count: int) -> np.ndarray:
-    """Edges of ``count`` quantile bins over the observed values,
-    deduplicated for ties."""
-    if count < 2:
-        raise ValueError("quantile count must be >= 2")
-    observed = col.observed()
-    if observed.size == 0:
-        raise SchemaError(f"feature {col.name!r} has no observed values")
-    edges = np.unique(np.quantile(observed, np.linspace(0, 1, int(count) + 1)))
-    if edges.size == 1:  # constant feature collapses to a single segment
-        edges = np.array([edges[0], edges[0]])
-    return edges
-
-
-def align_labels(
-    assignments: Sequence[SegmentAssignment],
-) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    """All assignments' labels in first-appearance order, and each
-    assignment's segment ids renumbered into them."""
-    labels = tuple(dict.fromkeys(label for seg in assignments for label in seg.labels))
-    index = {label: i for i, label in enumerate(labels)}
-    ids = [
-        np.array([index[label] for label in seg.labels], dtype=np.int64)[seg.segment_ids]
-        for seg in assignments
-    ]
-    return labels, ids
+def _bin_edges(col: NumericColumn, edges: Sequence[float] | int) -> np.ndarray:
+    """``edges`` checked as ascending, or the deduplicated edges of that many
+    quantile bins of the observed values; equal edges collapse to one bin [a, a]."""
+    if isinstance(edges, (int, np.integer)):
+        if edges < 2:
+            raise ValueError("quantile count must be >= 2")
+        observed = col.observed()
+        if observed.size == 0:
+            raise SchemaError(f"feature {col.name!r} has no observed values")
+        edges = np.unique(np.quantile(observed, np.linspace(0, 1, int(edges) + 1)))
+    else:
+        edges = np.asarray(edges, dtype=np.float64)
+        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) < 0):
+            raise ValueError("explicit edges must be ascending with >= 2 entries")
+    return edges[[0, -1]] if edges[0] == edges[-1] else edges
 
 
 def segment_by_bins(
@@ -285,15 +274,7 @@ def segment_by_bins(
     each only when present.
     """
     col = _numeric_feature(frame, feature)
-    if isinstance(edges, (int, np.integer)):
-        edge_arr = _quantile_edges(col, edges)
-    else:
-        edge_arr = np.asarray(edges, dtype=np.float64)
-        if edge_arr.ndim != 1 or edge_arr.size < 2 or np.any(np.diff(edge_arr) < 0):
-            raise ValueError("explicit edges must be ascending with >= 2 entries")
-
-    if edge_arr[0] == edge_arr[-1]:  # all edges equal: one closed bin [a, a]
-        edge_arr = edge_arr[[0, -1]]
+    edge_arr = _bin_edges(col, edges)
     n_bins = len(edge_arr) - 1
     labels = _bin_labels(feature, edge_arr)
     with np.errstate(invalid="ignore"):
@@ -337,11 +318,10 @@ def kmeans(
 
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, d))
-    centroids[0] = Z[rng.integers(n)]
-    closest_sq = exact_sq_dists(centroids[:1], Z)[0]
-    for j in range(1, k):
+    closest_sq = np.full(n, np.inf)
+    for j in range(k):
         total = closest_sq.sum()
-        if total == 0:
+        if total == 0 or total == np.inf:  # the first pick, or every row on a centroid
             pick = int(rng.integers(n))
         else:
             pick = int(rng.choice(n, p=closest_sq / total))
@@ -364,17 +344,14 @@ def kmeans(
         prev_inertia = inertia
         n_iter += 1
 
+        counts = np.bincount(ids, minlength=k)
         new_centroids = centroids.copy()
-        for j in range(k):
-            members = ids == j
-            if members.any():
-                new_centroids[j] = Z[members].mean(axis=0)
-        empty = [j for j in range(k) if not np.any(ids == j)]
-        if empty:
-            dist_to_own = d2[ids, rows]
-            farthest = np.argsort(-dist_to_own, kind="stable")
-            for slot, j in enumerate(empty):
-                new_centroids[j] = Z[farthest[slot]]
+        for j in np.flatnonzero(counts):
+            new_centroids[j] = Z[ids == j].mean(axis=0)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            farthest = np.argsort(-d2[ids, rows], kind="stable")
+            new_centroids[empty] = Z[farthest[: empty.size]]
         movement = float(np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1))))
         centroids = new_centroids
 
@@ -414,6 +391,23 @@ def segment_metrics(
     return SegmentMetricsTable(metric, overall, ds.n_rows, rows)
 
 
+def score_segments(
+    datasets: Sequence[ScoredDataset], assignments: Sequence[SegmentAssignment],
+    metric: str, min_rows: int, threshold: float,
+) -> tuple[tuple[str, ...], list[list[tuple[int, float | None]]]]:
+    """All assignments' labels in first-appearance order, and for each
+    dataset the ``score_groups`` of its rows under its assignment, one
+    ``(rows, value)`` per label."""
+    labels = tuple(dict.fromkeys(label for seg in assignments for label in seg.labels))
+    index = {label: i for i, label in enumerate(labels)}
+    scores = []
+    for ds, seg in zip(datasets, assignments):
+        ids = np.array([index[label] for label in seg.labels], dtype=np.int64)[seg.segment_ids]
+        groups = (ids == sid for sid in range(len(labels)))
+        scores.append(score_groups(ds, groups, metric, min_rows, threshold))
+    return labels, scores
+
+
 def weak_region_scan(
     ds: ScoredDataset,
     features: Sequence[str],
@@ -437,9 +431,7 @@ def weak_region_scan(
         for row in table.segments:
             if row.rows < min_rows or row.value is None or row.lift is None:
                 continue
-            regions.append(
-                WeakRegion(feature, row.label, row.rows, metric, row.value, row.lift)
-            )
+            regions.append(WeakRegion(feature, row.label, row.rows, metric, row.value, row.lift))
     regions.sort(key=lambda r: (-r.lift, -r.rows, r.feature, r.range_label))
     return regions
 
@@ -467,27 +459,23 @@ def fit_gap(
     metric = resolve_metric(metric, train.y_true, test.y_true)
 
     if feature is None:
-        labels = ("all",)
-        train_ids = np.zeros(train.n_rows, dtype=np.int64)
-        test_ids = np.zeros(test.n_rows, dtype=np.int64)
+        assignments = [
+            SegmentAssignment(np.zeros(ds.n_rows, dtype=np.int64), ("all",), "binned")
+            for ds in (train, test)
+        ]
     else:
         if edges is None:
             raise ValueError("fit_gap needs explicit edges when a feature is given")
-        if isinstance(edges, (int, np.integer)):
-            # derive shared quantile edges from train so both sets bin identically
-            edges = _quantile_edges(_numeric_feature(train.frame, feature), edges)
-        labels, (train_ids, test_ids) = align_labels(
-            [segment_by_bins(ds.frame, feature, edges) for ds in (train, test)]
-        )
+        # shared edges from train, so both sets bin identically
+        edges = _bin_edges(_numeric_feature(train.frame, feature), edges)
+        assignments = [segment_by_bins(ds.frame, feature, edges) for ds in (train, test)]
 
     overall_train = metric_value(metric, train.y_true, train.y_pred, threshold)
     overall_test = metric_value(metric, test.y_true, test.y_pred, threshold)
-    sids = range(len(labels))
-    train_scores = score_groups(train, (train_ids == sid for sid in sids), metric, 1, threshold)
-    test_scores = score_groups(test, (test_ids == sid for sid in sids), metric, 1, threshold)
+    labels, scores = score_segments((train, test), assignments, metric, 1, threshold)
 
     rows = []
-    for label, (tr_n, tr_v), (te_n, te_v) in zip(labels, train_scores, test_scores):
+    for label, (tr_n, tr_v), (te_n, te_v) in zip(labels, *scores):
         if tr_v is None or te_v is None:
             rows.append(FitGapRow(label, tr_n, te_n, tr_v, te_v, None, "ok"))
             continue
