@@ -498,7 +498,10 @@ def render_report(report: MonitoringReport, format: str = "json") -> str:
     else:
         lines.append("ALERTS: none")
     lines.append("")
-    for name, section in report.sections.items():
+    # in run order, also for a saved report, whose JSON holds them sorted by name
+    rank = {name: i for i, name in enumerate(SECTIONS)}
+    in_run_order = sorted(report.sections.items(), key=lambda item: rank.get(item[0], len(rank)))
+    for name, section in in_run_order:
         status = section.get("status", "ok")
         lines.append(f"{name}: {status}")
         if name == "drift" and status == "ok":

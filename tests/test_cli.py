@@ -344,6 +344,16 @@ class TestReportCommand:
         assert main(["report", "--in", str(saved), "--format", "json"]) == 0
         assert capsys.readouterr().out == saved.read_text()
 
+    def test_saved_report_rerenders_to_the_monitor_text(self, saved, capsys):
+        # the saved JSON holds the sections sorted by name; the text lists
+        # them in run order, as monitor printed it
+        config = saved.parent / "config.json"
+        assert main(["monitor", "--config", str(config), "--format", "text"]) == 4
+        monitor_text = capsys.readouterr().out
+        assert monitor_text.index("\ndata_quality: ") < monitor_text.index("\nconcept_drift: ")
+        assert main(["report", "--in", str(saved), "--format", "text"]) == 0
+        assert capsys.readouterr().out == monitor_text
+
     def test_monitor_text_format(self, tmp_path):
         config = write_pipeline_fixture(tmp_path, shift=0.0)
         proc = run_cli(["monitor", "--config", str(config), "--format", "text"])
