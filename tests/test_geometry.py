@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from modelwatch import _geometry, outcome, quality
+from modelwatch import _geometry, concept, outcome, quality
 from modelwatch._geometry import (
     complete_matrix,
     exact_sq_dists,
@@ -288,3 +288,39 @@ def test_complete_matrix_rejects_an_infinite_cell(bad):
     mixed = make_frame(a=[1.0, bad, 3.0], b=[1.0, 2.0, np.nan])
     with pytest.raises(SchemaError, match="no missing values; impute first$"):
         complete_matrix(mixed, "kmeans")
+
+
+class TestPowerOfTwoScaling:
+    # multiplying a feature by +-2^j scales its mean, deviations and standard
+    # deviation exactly, so the z-standardised matrix keeps its bits up to
+    # the column's sign, and every distance built on it is the same float
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 40),
+        d=st.integers(1, 4),
+        grid=st.booleans(),
+        k=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_standardised_kernels_keep_their_bits(self, seed, n, d, grid, k, data):
+        X = np.random.default_rng(seed).normal(size=(2 * n, d))
+        if grid:  # few distinct values: duplicate rows and tied distances
+            X = np.round(X)
+        powers = data.draw(st.lists(st.integers(-30, 30), min_size=d, max_size=d))
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d))
+        factor = np.array(signs) * np.ldexp(1.0, powers)
+        new = [FeatureFrame.from_numeric(M) for M in (X[:n], X[:n] * factor)]
+        dev = [FeatureFrame.from_numeric(M) for M in (X[n:], X[n:] * factor)]
+
+        k = min(k, n - 1)
+        a, b = (outcome.kmeans(frame, k, seed=seed) for frame in new)
+        assert np.array_equal(a.segment_ids, b.segment_ids) and a.inertia == b.inertia
+        a, b = (quality.outliers_lof(frame, k=k) for frame in new)
+        assert np.array_equal(a.scores, b.scores)
+        if np.ptp(X[n:], axis=0).all():
+            # a constant development column keeps scale 1, so new rows' offsets
+            # from it stay in raw units and scale with the feature
+            a, b = (concept.nn_match(*pair, 1, "euclidean_standardized") for pair in zip(new, dev))
+            assert np.array_equal(a.matched_dev_indices, b.matched_dev_indices)
+            assert a.mean_match_distance == b.mean_match_distance

@@ -810,6 +810,15 @@ class TestSegmentScoringRegressions:
         assert len({row.label for row in table.rows}) == 4
         assert [(row.train_rows, row.test_rows) for row in table.rows] == [(1, 1)] * 4
 
+    def test_fit_gap_constant_train_feature_is_one_closed_bin(self):
+        # train's quantile edges collapse to [3, 3], and test is binned by them
+        frame = make_frame(x=[3.0, 3.0, 3.0, 3.0])
+        train = make_scored(frame, [1.0, 2.0, 3.0, 4.0], [1.5, 2.0, 2.5, 4.0])
+        test = make_scored(frame, [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 3.0])
+        table = fit_gap(train, test, "x", 4)
+        assert [(row.label, row.train_rows, row.test_rows) for row in table.rows] == [("x in [3, 3]", 4, 4)]
+        assert (table.rows[0].train_value, table.rows[0].test_value) == (0.25, 0.25)
+
     def test_fit_gap_all_missing_train_feature_is_schema_error(self):
         train = make_scored(make_frame(x=[nan, nan, nan]), [1.0, 2.0, 3.0], [1.0, 2.5, 2.0])
         test = make_scored(make_frame(x=[0.0, 1.0, 2.0]), [1.0, 2.0, 3.0], [1.0, 2.5, 2.0])

@@ -98,6 +98,24 @@ def test_segment_scoring_only_in_outcome_module():
     assert found == []
 
 
+def test_segment_edges_and_labels_aligned_once_in_outcome_module():
+    # equal edges collapse to [a, a] in one place, and assignments' labels
+    # are aligned by one map, in outcome.py; a module that compares segment
+    # ids with a label index builds a second copy of that alignment
+    source = (PACKAGE / "outcome.py").read_text(encoding="utf-8")
+    collapses = re.findall(r"\.size == 1\b|\w+\[0\] == \w+\[-1\]", source)
+    assert len(collapses) == 1
+    assert source.count("dict.fromkeys(") == 1
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "outcome.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"\bsegment_ids\b|\w+ == \w+ for \w+ in", line)
+    ]
+    assert found == []
+
+
 def test_scored_role_fields_only_in_data_module():
     # the role-to-field mapping is written once, as data.SCORED_ROLES; a
     # module that names a role or field as a string keeps a second copy
