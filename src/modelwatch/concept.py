@@ -182,15 +182,8 @@ def classify_drift(
     matched_res = Residuals(ref_res.values[match.matched_dev_indices.ravel()])
     test = residual_two_sample_test(residuals(new), matched_res, cfg.residual_test)
 
-    concept = test.p_value < cfg.p_threshold
-    if concept and input_drift:
-        verdict = "both"
-    elif concept:
-        verdict = "concept_drift"
-    elif input_drift:
-        verdict = "input_drift"
-    else:
-        verdict = "no_drift"
+    concept = bool(test.p_value < cfg.p_threshold)
+    verdict = (("no_drift", "input_drift"), ("concept_drift", "both"))[concept][input_drift]
     notes = (
         f"residual {test.test_name} p={test.p_value:.4g} vs threshold {cfg.p_threshold:g}; "
         f"input scan {'failed' if input_drift else 'clean'}; "

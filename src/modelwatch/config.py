@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .concept import ClassifyDriftConfig
-from .data import DEFAULT_MISSING_TOKENS, Schema
+from .data import DEFAULT_MISSING_TOKENS, Schema, json_value
 from .errors import ConfigError, SchemaError
 from .outcome import DEFAULT_MIN_ROWS
 from .shift import CATEGORICAL_METRICS, METRICS, MULTIVARIATE_METRICS, NUMERIC_METRICS, DriftScanConfig
@@ -261,9 +261,7 @@ def _echo(value, pointer: str):
     if is_dataclass(value):
         own = _own_fields(value, pointer)
         return {name: _echo(getattr(value, name), f"{pointer}/{name}") for name in own}
-    if isinstance(value, frozenset):
-        return sorted(value)
-    return list(value) if isinstance(value, tuple) else value
+    return json_value(value)
 
 
 def build_config(doc: dict, base_dir: Path | str = ".") -> MonitorConfig:

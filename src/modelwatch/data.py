@@ -98,6 +98,13 @@ class ColumnSpec:
             object.__setattr__(self, "valid_categories", frozenset(vc))
 
 
+def json_value(value):
+    """The JSON form of a declared value: a tuple as a list, a frozenset as a sorted list."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return list(value) if isinstance(value, tuple) else value
+
+
 class _NamedColumns(Generic[_C]):
     """Columns with unique names, kept in order and looked up by name."""
 
@@ -174,14 +181,9 @@ class Schema(_NamedColumns[ColumnSpec]):
         return cls([ColumnSpec(**entry) for entry in doc["columns"]])
 
     def to_json_dict(self) -> dict:
-        def echo(value):
-            if isinstance(value, frozenset):
-                return sorted(value)
-            return list(value) if isinstance(value, tuple) else value
-
         return {
             "columns": [
-                {key: echo(value) for key, value in asdict(c).items() if value is not None}
+                {key: json_value(value) for key, value in asdict(c).items() if value is not None}
                 for c in self.columns
             ]
         }

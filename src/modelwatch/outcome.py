@@ -15,7 +15,7 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 from ._geometry import complete_matrix, exact_sq_dists, standardize
-from .data import CategoricalColumn, FeatureFrame, NumericColumn, ScoredDataset
+from .data import FeatureFrame, NumericColumn, ScoredDataset
 from .errors import (
     InvariantViolation,
     KExceedsRows,
@@ -25,6 +25,7 @@ from .errors import (
     SchemaMismatch,
     UnknownFeature,
 )
+from .quality import fill_value, filled_column
 
 DEFAULT_MIN_ROWS = 30
 
@@ -586,24 +587,10 @@ def invariance_test(
             perm = rng.permutation(frame.n_rows)
             altered = altered.replace_column(col.take(perm))
         else:
-            if isinstance(col, NumericColumn):
-                observed = col.observed()
-                fill = float(np.median(observed)) if observed.size else 0.0
-                altered = altered.replace_column(
-                    NumericColumn(name, np.full(frame.n_rows, fill), np.zeros(frame.n_rows, bool))
-                )
-            else:
-                observed = col.codes[~col.missing_mask]
-                fill = int(np.argmax(np.bincount(observed, minlength=len(col.labels)))) if observed.size else 0
-                labels = col.labels if col.labels else ("__EMPTY__",)
-                altered = altered.replace_column(
-                    CategoricalColumn(
-                        name,
-                        np.full(frame.n_rows, fill, dtype=np.int64),
-                        labels,
-                        np.zeros(frame.n_rows, bool),
-                    )
-                )
+            fill = fill_value(col)
+            fill = 0 if fill is None else fill  # nothing observed: 0.0, or code 0 of "__EMPTY__"
+            labels = ("__EMPTY__",) if col.kind == "categorical" and not col.labels else None
+            altered = altered.replace_column(filled_column(col, fill, slice(None), labels))
     deltas = np.abs(_predict(model, altered) - baseline)
     violating = np.nonzero(deltas > tolerance)[0]
     return InvarianceReport(

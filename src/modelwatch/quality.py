@@ -17,11 +17,7 @@ import numpy as np
 
 from ._geometry import complete_matrix, exact_sq_dists, fit_pca, row_blocks, standardize, top_k
 from .data import CategoricalColumn, FeatureFrame, NumericColumn, Schema
-from .errors import (
-    AllMissingColumn,
-    StrategyKindMismatch,
-    TooFewRows,
-)
+from .errors import AllMissingColumn, SchemaError, StrategyKindMismatch, TooFewRows
 
 MISSING_CATEGORY = "__MISSING__"
 
@@ -84,43 +80,49 @@ def impute(frame: FeatureFrame, strategies: Mapping[str, str]) -> FeatureFrame:
     out = frame
     for name, strategy in strategies.items():
         col = frame.column(name)
-        if strategy in ("mean", "median"):
-            if not isinstance(col, NumericColumn):
-                raise StrategyKindMismatch(f"{strategy} imputation needs a numeric column: {name}")
-            observed = col.observed()
-            if observed.size == 0:
+        if strategy in ("mean", "median", "mode"):
+            kind = "categorical" if strategy == "mode" else "numeric"
+            if col.kind != kind:
+                raise StrategyKindMismatch(f"{strategy} imputation needs a {kind} column: {name}")
+            fill = fill_value(col, strategy)
+            if fill is None:
                 raise AllMissingColumn(name)
-            fill = float(np.mean(observed) if strategy == "mean" else np.median(observed))
-            values = col.values.copy()
-            values[col.missing_mask] = fill
-            out = out.replace_column(NumericColumn(name, values, np.zeros(len(values), bool)))
-        elif strategy == "mode":
-            if not isinstance(col, CategoricalColumn):
-                raise StrategyKindMismatch(f"mode imputation needs a categorical column: {name}")
-            observed = col.codes[~col.missing_mask]
-            if observed.size == 0:
-                raise AllMissingColumn(name)
-            counts = np.bincount(observed, minlength=len(col.labels))
-            fill_code = int(np.argmax(counts))  # argmax takes the first (earliest label) on ties
-            codes = col.codes.copy()
-            codes[col.missing_mask] = fill_code
-            out = out.replace_column(
-                CategoricalColumn(name, codes, col.labels, np.zeros(len(codes), bool))
-            )
+            out = out.replace_column(filled_column(col, fill, col.missing_mask))
         elif strategy == "missing_as_category":
             if not isinstance(col, CategoricalColumn):
                 raise StrategyKindMismatch(f"missing_as_category needs a categorical column: {name}")
             if not col.missing_mask.any():
                 continue
             labels = col.labels + (MISSING_CATEGORY,)
-            codes = col.codes.copy()
-            codes[col.missing_mask] = len(labels) - 1
-            out = out.replace_column(
-                CategoricalColumn(name, codes, labels, np.zeros(len(codes), bool))
-            )
+            out = out.replace_column(filled_column(col, len(labels) - 1, col.missing_mask, labels))
         else:
             raise ValueError(f"unknown imputation strategy {strategy!r}")
     return out
+
+
+def fill_value(col, statistic: str = "median") -> float | int | None:
+    """The mean or median of a numeric column's observed values, or the code
+    of a categorical column's most frequent label, ties going to the earliest
+    label; None when no value is observed."""
+    observed = col.observed() if isinstance(col, NumericColumn) else col.codes[~col.missing_mask]
+    if observed.size == 0:
+        return None
+    if isinstance(col, CategoricalColumn):
+        return int(np.argmax(np.bincount(observed, minlength=len(col.labels))))  # first maximum on ties
+    return float(np.mean(observed) if statistic == "mean" else np.median(observed))
+
+
+def filled_column(col, fill, rows, labels: tuple[str, ...] | None = None):
+    """``col`` with ``fill`` written at ``rows`` and no cell missing; a
+    categorical column takes ``labels``, when given, as its label table."""
+    if isinstance(col, NumericColumn):
+        values = col.values.copy()
+        values[rows] = fill
+        return NumericColumn(col.name, values, np.zeros(len(values), bool))
+    codes = col.codes.copy()
+    codes[rows] = fill
+    labels = col.labels if labels is None else labels
+    return CategoricalColumn(col.name, codes, labels, np.zeros(len(codes), bool))
 
 
 def validate_rules(frame: FeatureFrame, schema: Schema) -> list[RuleViolation]:
@@ -160,10 +162,17 @@ def validate_rules(frame: FeatureFrame, schema: Schema) -> list[RuleViolation]:
     return violations
 
 
-def _as_values(column) -> np.ndarray:
-    if isinstance(column, NumericColumn):
-        return column.values
-    return np.asarray(column, dtype=np.float64)
+def _observed(column, at_least: int, method: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column's values, its missing mask and its observed values; fewer
+    than ``at_least`` observed values, or an infinite one, is an error."""
+    values = column.values if isinstance(column, NumericColumn) else np.asarray(column, dtype=np.float64)
+    mask = np.isnan(values)
+    observed = values[~mask]
+    if observed.size < at_least:
+        raise TooFewRows(f"{method} needs at least {at_least} observed values")
+    if np.isinf(observed).any():  # it would make every score NaN or flag only itself
+        raise SchemaError(f"{method} requires a column with no infinite values")
+    return values, mask, observed
 
 
 def outliers_zscore(column, z_threshold: float = 3.0) -> OutlierScoreSet:
@@ -172,11 +181,7 @@ def outliers_zscore(column, z_threshold: float = 3.0) -> OutlierScoreSet:
     A zero-variance column yields all-zero scores and no flags (with a
     warning) so batch profiling never aborts.
     """
-    values = _as_values(column)
-    mask = np.isnan(values)
-    observed = values[~mask]
-    if observed.size < 2:
-        raise TooFewRows("z-score needs at least 2 observed values")
+    values, mask, observed = _observed(column, 2, "z-score")
     mean = observed.mean()
     std = observed.std()
     scores = np.full(len(values), np.nan)
@@ -198,11 +203,7 @@ def outliers_iqr(column, multiplier: float = 1.5) -> OutlierScoreSet:
     ``flags == scores > multiplier``. A zero-IQR column scores values unequal
     to the quartiles as infinite, flagging exactly the values != Q1.
     """
-    values = _as_values(column)
-    mask = np.isnan(values)
-    observed = values[~mask]
-    if observed.size < 4:
-        raise TooFewRows("IQR method needs at least 4 observed values")
+    values, mask, observed = _observed(column, 4, "IQR method")
     q1, q3 = np.quantile(observed, [0.25, 0.75])  # linear interpolation
     iqr = q3 - q1
     deviation = np.maximum(q1 - values, values - q3)

@@ -196,13 +196,11 @@ def quality_section(cfg: MonitorConfig, current: FeatureFrame | ScoredDataset) -
             warnings.simplefilter("ignore")
             z = quality.outliers_zscore(col, cfg.quality.z_threshold)
             iqr = quality.outliers_iqr(col, cfg.quality.iqr_multiplier)
-        frac_z = float(z.flags.sum()) / observed.size
-        frac_iqr = float(iqr.flags.sum()) / observed.size
-        worst = max(frac_z, frac_iqr)
+        flagged = {"zscore_flagged": int(z.flags.sum()), "iqr_flagged": int(iqr.flags.sum())}
+        worst = max(flagged.values()) / observed.size
         outliers[name] = {
             "column": name,
-            "zscore_flagged": int(z.flags.sum()),
-            "iqr_flagged": int(iqr.flags.sum()),
+            **flagged,
             "flag_fraction": worst,
             "verdict": _verdict(cfg, "outlier_fraction", worst),
         }
@@ -270,20 +268,13 @@ def performance_section(cfg: MonitorConfig, reference: ScoredDataset, current: S
     binary = outcome.default_error_metric(reference.y_true) == "error_rate" and (
         outcome.default_error_metric(current.y_true) == "error_rate"
     )
-    if binary:
-        metrics = ("error_rate", "auc")
-        tracked = "error_rate"
-    else:
-        metrics = ("mae", "rmse")
-        tracked = "mae"
+    metrics = ("error_rate", "auc") if binary else ("mae", "rmse")
+    tracked = metrics[0]
 
     def values(ds: ScoredDataset) -> dict:
-        out = {}
-        for m in metrics:
-            v = outcome.metric_value(m, ds.y_true, ds.y_pred, 0.5)
-            out[m] = v
-            if m == "error_rate":
-                out["accuracy"] = None if v is None else 1.0 - v
+        out = {m: outcome.metric_value(m, ds.y_true, ds.y_pred, 0.5) for m in metrics}
+        if binary:
+            out["accuracy"] = None if out["error_rate"] is None else 1.0 - out["error_rate"]
         return out
 
     ref_vals = values(reference)

@@ -47,6 +47,8 @@ class EmpiricalDistribution:
         v = np.sort(np.asarray(values, dtype=np.float64))
         if v.size == 0:
             raise EmptySample("empirical distribution needs at least one value")
+        if np.isnan(v[-1]):  # sorting puts any NaN last
+            raise SchemaError("univariate statistics require samples with no missing values")
         return cls(v, v.size)
 
     def cdf(self, x) -> np.ndarray:
@@ -100,6 +102,14 @@ def _kolmogorov_sf(lam: float, terms: int = 100) -> float:
     return float(min(1.0, max(0.0, s)))
 
 
+def _cdf_gaps(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted pooled sample and |F_x - G_y| at each of its points."""
+    fx = EmpiricalDistribution.from_sample(x)
+    fy = EmpiricalDistribution.from_sample(y)
+    pooled = np.sort(np.concatenate([fx.sorted_values, fy.sorted_values]))
+    return pooled, np.abs(fx.cdf(pooled) - fy.cdf(pooled))
+
+
 def ks_two_sample(x, y) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
 
@@ -110,10 +120,7 @@ def ks_two_sample(x, y) -> tuple[float, float]:
     y = np.asarray(y, dtype=np.float64)
     if x.size == 0 or y.size == 0:
         raise EmptySample("ks_two_sample needs nonempty samples")
-    fx = EmpiricalDistribution.from_sample(x)
-    fy = EmpiricalDistribution.from_sample(y)
-    pooled = np.concatenate([fx.sorted_values, fy.sorted_values])
-    d = float(np.max(np.abs(fx.cdf(pooled) - fy.cdf(pooled))))
+    d = float(np.max(_cdf_gaps(x, y)[1]))
     ne = x.size * y.size / (x.size + y.size)
     p = _kolmogorov_sf(np.sqrt(ne) * d)
     return d, p
@@ -213,12 +220,8 @@ def wasserstein1(x, y) -> float:
     piecewise-constant integration over the pooled breakpoints; for equal
     sample sizes this equals the mean |x_(i) - y_(i)| over sorted pairs.
     """
-    fx = EmpiricalDistribution.from_sample(x)
-    fy = EmpiricalDistribution.from_sample(y)
-    pooled = np.sort(np.concatenate([fx.sorted_values, fy.sorted_values]))
-    deltas = np.diff(pooled)
-    gaps = np.abs(fx.cdf(pooled[:-1]) - fy.cdf(pooled[:-1]))
-    return float(np.sum(gaps * deltas))
+    pooled, gaps = _cdf_gaps(x, y)
+    return float(np.sum(gaps[:-1] * np.diff(pooled)))
 
 
 # ---------------------------------------------------------------------------
