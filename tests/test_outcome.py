@@ -432,6 +432,39 @@ class TestInvariance:
         with pytest.raises(UnknownFeature):
             invariance_test(LinearModel({}), frame, ["ghost"])
 
+    @pytest.mark.parametrize(
+        "columns, expected",
+        [
+            # nothing observed: 0.0, or code 0 of the one label "__EMPTY__"
+            ({"num": [nan, nan, nan]}, {"num": [0.0] * 3}),
+            ({"cat": [None, None, None]}, {"cat": ["__EMPTY__"] * 3}),
+            # the median of the observed values; the mode with ties to the earliest label
+            (
+                {"num": [1.0, 5.0, nan, 2.0, 9.0], "cat": ["b", "a", None, "a", "b"]},
+                {"num": [3.5] * 5, "cat": ["b"] * 5},
+            ),
+        ],
+    )
+    def test_constant_mode_fills(self, columns, expected):
+        class Recorder:
+            frames = []
+
+            def predict(self, frame):
+                self.frames.append(frame)
+                return np.zeros(frame.n_rows)
+
+        frame = make_frame(x0=np.arange(len(next(iter(columns.values())))), **columns)
+        model = Recorder()
+        invariance_test(model, frame, list(columns), mode="constant")
+        altered = model.frames[-1]
+        for name, fills in expected.items():
+            col = altered.column(name)
+            assert not col.missing_mask.any()
+            if col.kind == "numeric":
+                assert col.values.tolist() == fills
+            else:
+                assert [col.label_at(i) for i in range(altered.n_rows)] == fills
+
 
 class TestAverageRanks:
     @settings(max_examples=300, deadline=None)

@@ -145,6 +145,15 @@ class TestZscore:
         with pytest.raises(TooFewRows):
             outliers_zscore(np.array([1.0]))
 
+    def test_infinite_value_is_an_error(self):
+        # an inf made every score NaN, so the 50 here went unflagged
+        values = np.array([1.0, 2.0, 3.0, 2.0, 1.5, 50.0] + [2.0] * 30)
+        assert outliers_zscore(values).flags[5]
+        with pytest.raises(SchemaError, match="^z-score requires a column with no infinite values$"):
+            outliers_zscore(np.insert(values, 5, np.inf))
+        with pytest.raises(SchemaError, match="^IQR method requires a column with no infinite values$"):
+            outliers_iqr(np.insert(values, 5, -np.inf))
+
 
 class TestIqr:
     def test_small_clean_sample(self):

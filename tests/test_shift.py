@@ -864,6 +864,15 @@ class TestNonFiniteStatistics:
         assert apply_thresholds(float("nan"), 0.1, 0.25, "high") == "fail"
         assert apply_thresholds(float("nan"), 0.05, 0.01, "low") == "fail"
 
+    def test_nan_in_a_univariate_sample_is_an_error(self):
+        # sorted last, a NaN read as D = 1 with p = 0.047 in KS, and made W1 NaN
+        message = "^univariate statistics require samples with no missing values$"
+        with pytest.raises(SchemaError, match=message):
+            ks_two_sample([np.nan] * 5, [1.0, 2.0, 3.0])
+        with pytest.raises(SchemaError, match=message):
+            wasserstein1([1.0, 2.0, np.nan], [1.0, 2.0, 3.0])
+        assert ks_two_sample([1.0, 2.0, np.inf], [1.0, 2.0, 3.0])[0] == pytest.approx(1 / 3)
+
     def test_unmasked_inf_fails_instead_of_passing(self, rng):
         # one inf that load-time masking missed makes the histogram edges
         # infinite, so PSI and JSD come out NaN on a 5 sd shift

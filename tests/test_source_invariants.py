@@ -116,6 +116,18 @@ def test_segment_edges_and_labels_aligned_once_in_outcome_module():
     assert found == []
 
 
+def test_sample_rules_written_once():
+    # each rule below has one owner; a second copy drifts from the first:
+    # the two ECDFs of a KS or W1 pair (shift._cdf_gaps), a declared value's
+    # JSON form (data.json_value) and the mode fill (quality.fill_value);
+    # _geometry's argmax is a pivot search, not a mode
+    shift = (PACKAGE / "shift.py").read_text(encoding="utf-8")
+    assert shift.count("EmpiricalDistribution.from_sample(") == 2
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.rglob("*.py"))}
+    assert sum(source.count("isinstance(value, frozenset)") for source in sources.values()) == 1
+    assert sum(source.count("np.argmax(") for name, source in sources.items() if name != "_geometry.py") == 1
+
+
 def test_scored_role_fields_only_in_data_module():
     # the role-to-field mapping is written once, as data.SCORED_ROLES; a
     # module that names a role or field as a string keeps a second copy
