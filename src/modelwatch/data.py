@@ -424,6 +424,18 @@ def _plain_number_text(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def _plain_numbers(tokens: list[str]) -> np.ndarray | None:
+    """The tokens as floats when every one is a finite plain number, else
+    None; a caller's per-token loop then names the first that is not."""
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        return None
+    if np.isfinite(values).all() and _plain_number_text("".join(tokens)):
+        return values
+    return None
+
+
 def _parse_numeric(token: str, row: int, col: str) -> float:
     try:
         value = float(token) if _plain_number_text(token) else math.nan
@@ -507,16 +519,10 @@ def load_csv(
         present = ~mask
         values = np.zeros(len(raw))  # NumericColumn stores NaN where mask is set
         kept = list(compress(raw, present.tolist()))
-        try:
-            values[present] = np.fromiter(map(float, kept), np.float64, len(kept))
-            parsed = (
-                (allow_missing or not mask.any())
-                and np.isfinite(values).all()
-                and _plain_number_text("".join(kept))
-            )
-        except ValueError:
-            parsed = False
-        if not parsed:  # the per-cell loop names the first bad cell
+        parsed = _plain_numbers(kept) if allow_missing or not mask.any() else None
+        if parsed is not None:
+            values[present] = parsed
+        else:  # the per-cell loop names the first bad cell
             for i, token in enumerate(raw):
                 if token in missing:
                     if not allow_missing:

@@ -14,24 +14,58 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import shlex
 import subprocess
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureFrame, _plain_number_text, feature_cells
+from .data import Column, FeatureFrame, _plain_number_text, _plain_numbers, feature_cells
 from .errors import ModelProtocolError
 
+# The cell memo of the innermost ``shared_cells`` block, None outside one.
+_CELL_MEMO: ContextVar[dict | None] = ContextVar("modelwatch_cell_memo", default=None)
 
-def frame_to_csv(frame: FeatureFrame) -> str:
-    """Render a frame as CSV text; missing cells become empty strings."""
+
+def frame_to_csv(frame: FeatureFrame, memo: dict | None = None) -> str:
+    """Render a frame as CSV text; missing cells become empty strings.
+
+    ``memo`` maps a column name to the first column of that name rendered
+    with it, and that column's cells. A later frame holding that very column
+    object reuses the cells; a different object, even one with the same
+    name, is formatted afresh. The memo keeps its columns alive, so a freed
+    column's identity can never pass to a new one.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(list(frame.names))
-    writer.writerows(zip(*(feature_cells(col) for col in frame.columns)))
+    writer.writerows(zip(*(_column_cells(col, memo) for col in frame.columns)))
     return buf.getvalue()
+
+
+def _column_cells(col: Column, memo: dict | None) -> list[str]:
+    if memo is None:
+        return feature_cells(col)
+    if col.name not in memo:
+        memo[col.name] = (col, feature_cells(col))
+    kept, cells = memo[col.name]
+    return cells if kept is col else feature_cells(col)
+
+
+@contextmanager
+def shared_cells():
+    """Within the block, ``score_external`` renders through one memo (see
+    ``frame_to_csv``), so scoring one-column variants of a frame formats only
+    the changed column each time. The memo is dropped when the block ends."""
+    token = _CELL_MEMO.set({})
+    try:
+        yield
+    finally:
+        _CELL_MEMO.reset(token)
 
 
 @dataclass(frozen=True)
@@ -48,7 +82,7 @@ def score_external(model: ExternalModel, frame: FeatureFrame) -> np.ndarray:
     args = shlex.split(model.command)
     if not args:
         raise ModelProtocolError("exit_code", "empty model command")
-    payload = frame_to_csv(frame)
+    payload = frame_to_csv(frame, _CELL_MEMO.get())
     try:
         proc = subprocess.run(
             args,
@@ -72,16 +106,17 @@ def score_external(model: ExternalModel, frame: FeatureFrame) -> np.ndarray:
         )
 
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
-    predictions = np.empty(len(lines), dtype=np.float64)
-    for i, line in enumerate(lines):
-        try:
-            if not _plain_number_text(line):
-                raise ValueError(line)
-            predictions[i] = float(line)
-        except ValueError:
-            raise ModelProtocolError("parse", f"line {i + 1}: not a decimal: {line!r}") from None
-        if not np.isfinite(predictions[i]):
-            raise ModelProtocolError("parse", f"line {i + 1}: not a finite decimal: {line!r}")
+    predictions = _plain_numbers(lines)
+    if predictions is None:  # the per-line loop names the first bad line
+        for i, line in enumerate(lines):
+            try:
+                if not _plain_number_text(line):
+                    raise ValueError(line)
+                value = float(line)
+            except ValueError:
+                raise ModelProtocolError("parse", f"line {i + 1}: not a decimal: {line!r}") from None
+            if not math.isfinite(value):
+                raise ModelProtocolError("parse", f"line {i + 1}: not a finite decimal: {line!r}")
     if len(lines) != frame.n_rows:
         raise ModelProtocolError(
             "count", f"model returned {len(lines)} predictions for {frame.n_rows} rows"
