@@ -375,6 +375,19 @@ class TestPairedComparison:
         with pytest.raises(LengthMismatch):
             paired_model_comparison([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "errors_a, errors_b",
+        [
+            ([1.0, float("nan"), 3.0, 5.0], [1.0, 2.0, 3.0, 1.0]),
+            # b is better on every observed row; the NaN row used to make it a tie
+            ([5.0] * 10 + [float("nan")], [1.0] * 11),
+            ([1.0] * 11, [5.0] * 10 + [float("nan")]),
+        ],
+    )
+    def test_missing_error_row_is_an_error(self, errors_a, errors_b):
+        with pytest.raises(SchemaError, match="paired comparison requires error rows with no missing values"):
+            paired_model_comparison(errors_a, errors_b)
+
     def test_p_value_is_the_two_sided_student_t_tail(self):
         from scipy.stats import t
 

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from modelwatch.data import NumericColumn
 from modelwatch.errors import ModelProtocolError
 from modelwatch.external import ExternalModel, frame_to_csv, score_external
 
@@ -151,3 +152,41 @@ class TestFrameToCsv:
         frame = make_frame(g=["has,comma", "plain"])
         text = frame_to_csv(frame)
         assert '"has,comma"' in text
+
+    def test_memo_reuses_only_the_same_column_object(self):
+        frame = make_frame(x=[1.5, np.nan, -2.0], g=['say "hi"', None, "a,b"])
+        memo: dict = {}
+        assert frame_to_csv(frame, memo) == frame_to_csv(frame)
+        x = frame.column("x")
+        kept = memo["x"][1]
+        # same name, new object: formatted afresh, and the first column's cells stay
+        twin = frame.replace_column(NumericColumn("x", x.values + 1.0, x.missing_mask))
+        assert frame_to_csv(twin, memo) == frame_to_csv(twin)
+        assert memo["x"][0] is x and memo["x"][1] is kept
+        assert frame_to_csv(frame, memo) == frame_to_csv(frame)
+
+
+MIXED_MODEL = """\
+import sys
+data = sys.stdin.read()
+n = data.count("\\n") - 1
+for i in range(n):
+    print({lines!r}[i] if i < {count} else "1.0")
+"""
+
+
+class TestFirstBadLine:
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["1.0", "2.5", "x", "nan"], "line 3: not a decimal: 'x'"),
+            (["1.0", "inf", "1_0"], "line 2: not a finite decimal: 'inf'"),
+            (["1.0", " 2 ", "1_0", "nan"], "line 3: not a decimal: '1_0'"),
+        ],
+    )
+    def test_the_first_line_breaking_the_rule_is_named(self, tmp_path, frame, lines, message):
+        source = MIXED_MODEL.format(lines=lines, count=len(lines))
+        model = ExternalModel(model_command(tmp_path, source, "mixed.py"))
+        with pytest.raises(ModelProtocolError) as exc:
+            score_external(model, frame)
+        assert str(exc.value) == f"[parse] {message}"

@@ -1,12 +1,13 @@
 import json
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from modelwatch import outcome
+from modelwatch import external, outcome
 from modelwatch import report as report_module
-from modelwatch.config import parse_config
+from modelwatch.config import build_config, parse_config
 from modelwatch.data import Schema, write_csv
 from modelwatch.errors import ConfigError
 from modelwatch.report import (
@@ -213,6 +214,60 @@ class TestRunMonitor:
         assert report.sections["uncertainty"]["status"] == "error"
         assert report.sections["drift"]["status"] == "ok"
         assert exit_code_for(report) == 1
+
+
+SCORING_MODEL = """\
+import csv, sys
+reader = csv.reader(sys.stdin)
+next(reader)
+for x0, x1, c in reader:
+    print(2.0 * float(x0 or 0.0) + len(c))
+"""
+
+
+class TestRobustnessStdin:
+    """A robustness stage formats each unchanged column's CSV cells once, yet
+    every scorer call must get on stdin what a fresh render of its frame gives."""
+
+    @pytest.mark.parametrize("mode", ["permute", "constant"])
+    def test_each_payload_is_a_fresh_render(self, tmp_path, monkeypatch, mode):
+        script = tmp_path / "model.py"
+        script.write_text(SCORING_MODEL)
+        columns = [{"name": n, "kind": "numeric", "role": "feature"} for n in ("x0", "x1")]
+        columns += [
+            {"name": "c", "kind": "categorical", "role": "feature"},
+            {"name": "y", "kind": "numeric", "role": "target"},
+            {"name": "pred", "kind": "numeric", "role": "prediction"},
+        ]
+        cfg = build_config({
+            "schema": {"columns": columns},
+            "data": {"reference": "reference.csv", "current": "current.csv"},
+            "model": {"command": f"{sys.executable} {script}"},
+            # x1 and c are replaced by new column objects of the same names
+            "robustness": {"n_repeats": 2, "irrelevant_features": ["x1", "c"], "invariance_mode": mode},
+        })
+        r = np.random.default_rng(7)
+        x0 = r.normal(size=40)
+        x0[::5] = np.nan  # missing cells render empty
+        labels = ['say "hi"', "a,b", "plain", None]  # quoted, comma-holding and missing labels
+        frame = make_frame(x0=x0, x1=r.normal(size=40), c=[labels[i % 4] for i in range(40)])
+        current = make_scored(frame, np.zeros(40), np.zeros(40))
+
+        frames, payloads, formatted = [], [], []
+        score, run, cells = external.score_external, subprocess.run, external.feature_cells
+        monkeypatch.setattr(external, "score_external", lambda m, f: frames.append(f) or score(m, f))
+        monkeypatch.setattr(subprocess, "run", lambda *a, **kw: payloads.append(kw["input"]) or run(*a, **kw))
+        monkeypatch.setattr(external, "feature_cells", lambda col: formatted.append(col.name) or cells(col))
+        section = report_module.robustness_section(cfg, current)
+        monkeypatch.undo()
+
+        assert section["status"] == "ok"
+        assert len(payloads) == len(frames) == 1 + 2 * 2 + 1
+        for f, payload in zip(frames, payloads):
+            assert payload == external.frame_to_csv(f)
+        # the baseline's three columns, each perturbation's one, the two altered ones
+        assert sorted(formatted) == sorted(["x0", "x1", "c"] + ["x0", "x1"] * 2 + ["x1", "c"])
+        assert external._CELL_MEMO.get() is None  # the stage's memo is gone
 
 
 class TestReportShape:

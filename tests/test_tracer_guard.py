@@ -7,6 +7,7 @@ is read as source and never written or imported as a package.
 """
 
 import importlib
+import sys
 import types
 from pathlib import Path
 
@@ -80,3 +81,42 @@ def test_monitor_sections_are_traced(tmp_path):
         for s in spans.spans
         if s["name"] == "shift.permutation_pvalue"
     )
+
+
+LINEAR_MODEL = """\
+import csv, sys
+reader = csv.DictReader(sys.stdin)
+for row in reader:
+    print(2.0 * float(row["x0"]) - float(row["x1"]))
+"""
+
+
+def test_each_scorer_call_renders_its_frame_once(tmp_path):
+    tracer = load_tracer()
+    script = tmp_path / "model.py"
+    script.write_text(LINEAR_MODEL)
+    cfg = parse_config(
+        write_pipeline_fixture(
+            tmp_path,
+            config_overrides={
+                "model": {"command": f"{sys.executable} {script}"},
+                "robustness": {"n_repeats": 2, "irrelevant_features": ["x1"]},
+            },
+        )
+    )
+    spans = tracer.Tracer()
+    spans.job = 0
+    spans.install()
+    try:
+        report = run_monitor(cfg)
+    finally:
+        spans.uninstall()
+    assert report.status == "complete"
+    k = sum(spec.role == "feature" and spec.kind == "numeric" for spec in cfg.schema)
+    assert k == 2
+    scores = [i for i, s in enumerate(spans.spans) if s["name"] == "external.score"]
+    # the shared baseline, n_repeats calls per numeric feature, the invariance call
+    assert len(scores) == 1 + 2 * k + 1
+    for i in scores:
+        children = [s for s in spans.spans if s["parent"] == i]
+        assert [s["name"] for s in children] == ["external.frame_to_csv"]
