@@ -275,14 +275,14 @@ def paired_model_comparison(errors_a, errors_b) -> PairedComparison:
     Degenerate cases: all differences zero gives t=0, p=1, tie; constant
     nonzero differences give a signed infinite t marker with p=0. Otherwise
     ``better`` names the lower-error model when p < 0.05, else tie. A
-    missing (NaN) error row raises ``SchemaError``.
+    missing (NaN) or infinite error row raises ``SchemaError``.
     """
     a = np.asarray(errors_a, dtype=np.float64)
     b = np.asarray(errors_b, dtype=np.float64)
     if a.size != b.size:
         raise LengthMismatch(f"{a.size} vs {b.size} error rows")
-    if np.isnan(a).any() or np.isnan(b).any():
-        raise SchemaError("paired comparison requires error rows with no missing values")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise SchemaError("paired comparison requires error rows with no missing values or infinities")
     n = a.size
     if n < 2:
         raise TooFewRows("paired comparison needs at least 2 rows")

@@ -1,13 +1,15 @@
 """Subprocess adapter for scoring through an external model command.
 
-Protocol: the command receives the frame as RFC-4180 CSV (header row plus
-one row per record) on stdin and must write exactly one decimal prediction
-per input row to stdout, in order. A prediction follows the number rule of
-CSV cells: a finite ASCII number as ``float()`` reads it, without ``_``
-digit separators; surrounding ASCII whitespace is accepted. Its stderr is
-passed through. Nonzero exit status, unparsable output, a row-count
-mismatch, or exceeding the timeout raise :class:`ModelProtocolError` with
-the matching reason.
+Protocol: the command receives one or more frames as one RFC-4180 CSV
+table on stdin, a header row and then each frame's rows in order, and must
+write exactly one decimal prediction per input row to stdout, in order. It
+must score each row on its own, whatever other rows share its input and
+however many there are. A prediction follows the number rule of CSV cells:
+a finite ASCII number as ``float()`` reads it, without ``_`` digit
+separators; surrounding ASCII whitespace is accepted. Its stderr is passed
+through. Nonzero exit status, unparsable output, a row-count mismatch, or
+exceeding the timeout raise :class:`ModelProtocolError` with the matching
+reason.
 """
 
 from __future__ import annotations
@@ -18,17 +20,20 @@ import math
 import shlex
 import subprocess
 import sys
-from contextlib import contextmanager
-from contextvars import ContextVar
+import tempfile
 from dataclasses import dataclass
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .data import Column, FeatureFrame, _plain_number_text, _plain_numbers, feature_cells
 from .errors import ModelProtocolError
 
-# The cell memo of the innermost ``shared_cells`` block, None outside one.
-_CELL_MEMO: ContextVar[dict | None] = ContextVar("modelwatch_cell_memo", default=None)
+
+def _csv_rows(rows: Iterable) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def frame_to_csv(frame: FeatureFrame, memo: dict | None = None) -> str:
@@ -40,11 +45,8 @@ def frame_to_csv(frame: FeatureFrame, memo: dict | None = None) -> str:
     name, is formatted afresh. The memo keeps its columns alive, so a freed
     column's identity can never pass to a new one.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(list(frame.names))
-    writer.writerows(zip(*(_column_cells(col, memo) for col in frame.columns)))
-    return buf.getvalue()
+    cells = (_column_cells(col, memo) for col in frame.columns)
+    return _csv_rows([frame.names]) + _csv_rows(zip(*cells))
 
 
 def _column_cells(col: Column, memo: dict | None) -> list[str]:
@@ -56,16 +58,15 @@ def _column_cells(col: Column, memo: dict | None) -> list[str]:
     return cells if kept is col else feature_cells(col)
 
 
-@contextmanager
-def shared_cells():
-    """Within the block, ``score_external`` renders through one memo (see
-    ``frame_to_csv``), so scoring one-column variants of a frame formats only
-    the changed column each time. The memo is dropped when the block ends."""
-    token = _CELL_MEMO.set({})
-    try:
-        yield
-    finally:
-        _CELL_MEMO.reset(token)
+def _write_payload(stdin: IO[str], frames: Sequence[FeatureFrame]) -> None:
+    """Write ``frames`` to ``stdin`` as one CSV table, one frame's text at a
+    time, through one memo: a column held by several frames is formatted
+    once if the first frame holds it."""
+    memo: dict = {}
+    header = len(_csv_rows([frames[0].names]))
+    for i, frame in enumerate(frames):
+        text = frame_to_csv(frame, memo)
+        stdin.write(text[header:] if i else text)
 
 
 @dataclass(frozen=True)
@@ -76,27 +77,36 @@ class ExternalModel:
     def predict(self, frame: FeatureFrame) -> np.ndarray:
         return score_external(self, frame)
 
+    def predict_many(self, frames: Sequence[FeatureFrame]) -> list[np.ndarray]:
+        """The predictions on each of ``frames``, from one launch of the command."""
+        preds = score_external(self, *frames)
+        return np.split(preds, np.cumsum([f.n_rows for f in frames[:-1]]))
 
-def score_external(model: ExternalModel, frame: FeatureFrame) -> np.ndarray:
-    """Run the external command on a frame and collect its predictions."""
+
+def score_external(model: ExternalModel, frame: FeatureFrame, *more: FeatureFrame) -> np.ndarray:
+    """Run the external command once on ``frame`` and each of ``more``, sent
+    as one table, and collect the predictions of all their rows in order.
+    The timeout is ``model.timeout`` per frame."""
     args = shlex.split(model.command)
     if not args:
         raise ModelProtocolError("exit_code", "empty model command")
-    payload = frame_to_csv(frame, _CELL_MEMO.get())
-    try:
-        proc = subprocess.run(
-            args,
-            input=payload,
-            capture_output=True,
-            text=True,
-            timeout=model.timeout,
-        )
-    except subprocess.TimeoutExpired:
-        raise ModelProtocolError(
-            "timeout", f"model exceeded {model.timeout:g}s timeout and was terminated"
-        ) from None
-    except OSError as exc:
-        raise ModelProtocolError("exit_code", f"could not launch model: {exc}") from None
+    for other in more:
+        frame.check_same_columns(other, "frames scored in one call")
+    frames = (frame, *more)
+    n_rows = sum(f.n_rows for f in frames)
+    timeout = model.timeout * len(frames)
+    # the payload goes to a file a frame at a time, never whole into memory
+    with tempfile.TemporaryFile("w+", newline="") as stdin:
+        _write_payload(stdin, frames)
+        stdin.seek(0)
+        try:
+            proc = subprocess.run(args, stdin=stdin, capture_output=True, text=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            raise ModelProtocolError(
+                "timeout", f"model exceeded {timeout:g}s timeout and was terminated"
+            ) from None
+        except OSError as exc:
+            raise ModelProtocolError("exit_code", f"could not launch model: {exc}") from None
 
     if proc.stderr:
         sys.stderr.write(proc.stderr)
@@ -117,8 +127,6 @@ def score_external(model: ExternalModel, frame: FeatureFrame) -> np.ndarray:
                 raise ModelProtocolError("parse", f"line {i + 1}: not a decimal: {line!r}") from None
             if not math.isfinite(value):
                 raise ModelProtocolError("parse", f"line {i + 1}: not a finite decimal: {line!r}")
-    if len(lines) != frame.n_rows:
-        raise ModelProtocolError(
-            "count", f"model returned {len(lines)} predictions for {frame.n_rows} rows"
-        )
+    if len(lines) != n_rows:
+        raise ModelProtocolError("count", f"model returned {len(lines)} predictions for {n_rows} rows")
     return predictions

@@ -3,8 +3,9 @@
 Segments come from explicit/quantile binning of a feature or from k-means
 clusters; per-segment error metrics and their lift over the overall metric
 locate weak regions. Robustness tests rescore perturbed inputs through any
-object with a ``predict(frame) -> array`` method, such as the external
-model adapter.
+object with a ``predict(frame) -> array`` method; one that also has
+``predict_many(frames) -> list of arrays``, such as the external model
+adapter, scores each test's frames in one call.
 """
 
 from __future__ import annotations
@@ -495,21 +496,34 @@ def fit_gap(
 # ---------------------------------------------------------------------------
 
 
-def _predict(model: Scorer, frame: FeatureFrame) -> np.ndarray:
-    """The model's predictions on ``frame``, one float per row."""
-    pred = np.asarray(model.predict(frame), dtype=np.float64)
-    if pred.shape != (frame.n_rows,):
-        raise LengthMismatch(f"scorer returned shape {pred.shape} for {frame.n_rows} rows")
-    return pred
+def _predict_all(model: Scorer, frames: Sequence[FeatureFrame]) -> list[np.ndarray]:
+    """The model's predictions on each frame, one float per row: from one
+    ``predict_many`` call when the model has that method, else from a
+    ``predict`` call per frame."""
+    if frames and hasattr(model, "predict_many"):
+        parts = model.predict_many(frames)
+    else:
+        parts = map(model.predict, frames)  # each checked before the next is scored
+    checked = []
+    for frame, part in zip(frames, parts, strict=True):
+        pred = np.asarray(part, dtype=np.float64)
+        if pred.shape != (frame.n_rows,):
+            raise LengthMismatch(f"scorer returned shape {pred.shape} for {frame.n_rows} rows")
+        checked.append(pred)
+    return checked
 
 
-def _baseline(model: Scorer, frame: FeatureFrame, baseline: np.ndarray | None) -> np.ndarray:
-    """``baseline``, one prediction per row of ``frame``, or if None the model's."""
+def _scored(
+    model: Scorer, frame: FeatureFrame, variants: Sequence[FeatureFrame], baseline: np.ndarray | None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``baseline``, one prediction per row of ``frame``, or if None the
+    model's, and the model's predictions on each variant of ``frame``."""
     if baseline is None:
-        return _predict(model, frame)
+        baseline, *preds = _predict_all(model, [frame, *variants])
+        return baseline, preds
     if np.shape(baseline) != (frame.n_rows,):
         raise LengthMismatch(f"baseline of shape {np.shape(baseline)} for {frame.n_rows} rows")
-    return np.asarray(baseline, dtype=np.float64)
+    return np.asarray(baseline, dtype=np.float64), _predict_all(model, variants)
 
 
 def perturbation_test(
@@ -528,21 +542,22 @@ def perturbation_test(
     predictions on ``frame``) are pooled over rows and repeats. Deterministic
     for a fixed seed.
     """
-    baseline = _baseline(model, frame, baseline)
     rng = np.random.default_rng(seed)
-    rows = []
-    for name in frame.numeric_names():
+    names, variants = frame.numeric_names(), []
+    for name in names:
         col = frame.column(name)
         std = float(col.observed().std()) if col.observed().size else 0.0
         noise_std = noise_fraction * std
-        deltas = []
         for _ in range(n_repeats):
             noise = rng.normal(0.0, 1.0, frame.n_rows) * noise_std
-            perturbed = frame.replace_column(
-                NumericColumn(name, col.values + noise, col.missing_mask)
+            variants.append(
+                frame.replace_column(NumericColumn(name, col.values + noise, col.missing_mask))
             )
-            deltas.append(np.abs(_predict(model, perturbed) - baseline))
-        pooled = np.concatenate(deltas)
+    baseline, preds = _scored(model, frame, variants, baseline)
+    deltas = [np.abs(pred - baseline) for pred in preds]
+    rows = []
+    for i, name in enumerate(names):
+        pooled = np.concatenate(deltas[i * n_repeats : (i + 1) * n_repeats])
         rows.append(
             FeatureSensitivity(
                 feature=name,
@@ -578,7 +593,6 @@ def invariance_test(
     if not irrelevant:
         return InvarianceReport(0.0, 0.0, [], tolerance, mode)
 
-    baseline = _baseline(model, frame, baseline)
     rng = np.random.default_rng(seed)
     altered = frame
     for name in irrelevant:
@@ -591,7 +605,8 @@ def invariance_test(
             fill = 0 if fill is None else fill  # nothing observed: 0.0, or code 0 of "__EMPTY__"
             labels = ("__EMPTY__",) if col.kind == "categorical" and not col.labels else None
             altered = altered.replace_column(filled_column(col, fill, slice(None), labels))
-    deltas = np.abs(_predict(model, altered) - baseline)
+    baseline, (pred,) = _scored(model, frame, [altered], baseline)
+    deltas = np.abs(pred - baseline)
     violating = np.nonzero(deltas > tolerance)[0]
     return InvarianceReport(
         max_abs_delta=float(deltas.max()) if deltas.size else 0.0,

@@ -29,7 +29,7 @@ from .concept import classify_drift
 from .config import MonitorConfig
 from .data import SCORED_ROLES, FeatureFrame, NumericColumn, ScoredDataset, load_csv
 from .errors import ConfigError, RangeError
-from .external import ExternalModel, shared_cells
+from .external import ExternalModel
 from .shift import METRICS, DriftResult, apply_thresholds, drift_scan
 
 
@@ -336,7 +336,6 @@ def weakness_section(
     return section
 
 
-@shared_cells()  # each scorer call formats only the column it changed
 def robustness_section(cfg: MonitorConfig, current: ScoredDataset) -> dict:
     if cfg.model.command is None:
         return {"status": "not_configured"}
