@@ -388,6 +388,19 @@ class TestPairedComparison:
         with pytest.raises(SchemaError, match="paired comparison requires error rows with no missing values"):
             paired_model_comparison(errors_a, errors_b)
 
+    @pytest.mark.parametrize(
+        "errors_a, errors_b",
+        [
+            # each used to give better='tie' with a NaN t statistic and p value
+            ([float("inf"), 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0]),
+            ([5.0] * 10 + [float("inf")], [1.0] * 11),
+            ([float("inf")] * 3, [float("inf")] * 3),
+        ],
+    )
+    def test_infinite_error_row_is_an_error(self, errors_a, errors_b):
+        with pytest.raises(SchemaError, match="no missing values or infinities"):
+            paired_model_comparison(errors_a, errors_b)
+
     def test_p_value_is_the_two_sided_student_t_tail(self):
         from scipy.stats import t
 

@@ -1,10 +1,12 @@
+import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from modelwatch.data import NumericColumn
-from modelwatch.errors import ModelProtocolError
+from modelwatch.errors import ModelProtocolError, SchemaMismatch
 from modelwatch.external import ExternalModel, frame_to_csv, score_external
 
 from conftest import make_frame
@@ -137,6 +139,73 @@ class TestScoreExternal:
         with pytest.raises(ModelProtocolError) as exc:
             score_external(model, frame)
         assert exc.value.reason == "exit_code"
+
+
+ONES_MODEL = """\
+import sys
+n = sum(1 for _ in sys.stdin) - 1
+sys.stdout.write("1\\n" * n)
+"""
+
+
+class TestStackedCall:
+    """``score_external(model, frame, *more)`` scores several frames in one
+    launch: one header, then each frame's rows in order."""
+
+    def test_stacked_call_equals_one_call_per_frame(self, tmp_path, frame, rng):
+        model = ExternalModel(model_command(tmp_path, IDENTITY_MODEL, "identity.py"))
+        other = make_frame(x=rng.normal(size=7), other=rng.normal(size=7))
+        stacked = score_external(model, frame, other)
+        np.testing.assert_array_equal(
+            stacked, np.concatenate([score_external(model, frame), score_external(model, other)])
+        )
+        parts = model.predict_many([frame, other, frame])
+        assert [p.shape for p in parts] == [(10,), (7,), (10,)]
+        np.testing.assert_array_equal(np.concatenate(parts), np.r_[stacked, parts[0]])
+
+    def test_frames_disagreeing_on_columns_fail_before_any_launch(self, tmp_path, frame, monkeypatch):
+        model = ExternalModel(model_command(tmp_path, IDENTITY_MODEL, "identity.py"))
+        launches = []
+        monkeypatch.setattr(subprocess, "run", lambda *a, **kw: launches.append(a))
+        other = make_frame(x=[1.0, 2.0], renamed=[3.0, 4.0])
+        with pytest.raises(SchemaMismatch, match="column 1 is 'other' \\(numeric\\) vs 'renamed'"):
+            score_external(model, frame, other)
+        assert launches == []
+
+    def test_count_mismatch_names_the_total_rows(self, tmp_path, frame):
+        model = ExternalModel(model_command(tmp_path, SHORT_OUTPUT_MODEL, "short.py"))
+        with pytest.raises(ModelProtocolError) as exc:
+            score_external(model, frame, frame)
+        assert str(exc.value) == "[count] model returned 19 predictions for 20 rows"
+
+    def test_timeout_scales_with_the_frames_and_still_fires(self, tmp_path, frame):
+        model = ExternalModel(model_command(tmp_path, SLEEPER_MODEL, "sleeper.py"), timeout=0.5)
+        with pytest.raises(ModelProtocolError) as exc:
+            score_external(model, frame, frame)
+        assert str(exc.value) == "[timeout] model exceeded 1s timeout and was terminated"
+
+    def test_payload_is_streamed_a_frame_at_a_time(self, tmp_path):
+        # One frame's formatted cells alone take several times its CSV text,
+        # so the bound is on what 23 more frames add: well under the ~23
+        # payloads they would add if the whole table were built in memory.
+        model = ExternalModel(model_command(tmp_path, ONES_MODEL, "ones.py"))
+        r = np.random.default_rng(3)
+        base = make_frame(**{f"x{j}": r.normal(size=500) for j in range(8)})
+        frames = [  # as a perturbation test makes them: one column changed in each
+            base.replace_column(NumericColumn.from_values(f"x{k % 8}", base.column(f"x{k % 8}").values + k))
+            for k in range(24)
+        ]
+        payload = len(frame_to_csv(frames[0]))
+        peaks = []
+        for call in (frames[:1], frames):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                np.testing.assert_array_equal(score_external(model, *call), np.ones(500 * len(call)))
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 3 * payload
 
 
 class TestFrameToCsv:

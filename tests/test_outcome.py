@@ -402,6 +402,43 @@ class TestBaseline:
                 run(OneValueModel())
 
 
+class StackingModel(LinearModel):
+    """Scores a list of frames in one call, as the external model adapter does."""
+
+    def __init__(self, coefs):
+        super().__init__(coefs)
+        self.calls = []
+
+    def predict_many(self, frames):
+        self.calls.append(len(frames))
+        return [self.predict(f) for f in frames]
+
+
+class TestPredictMany:
+    def test_each_test_scores_its_frames_in_one_call(self, rng):
+        frame = make_frame(x0=rng.normal(size=60), x1=rng.normal(size=60), junk=rng.normal(size=60))
+        coefs = {"x0": 2.0, "junk": 1e-3}
+        model = StackingModel(coefs)
+        sens = perturbation_test(model, frame, 0.05, n_repeats=2, seed=4)
+        inv = invariance_test(model, frame, ["junk"], seed=4)
+        baseline = model.predict(frame)
+        perturbation_test(model, frame, 0.05, n_repeats=2, seed=4, baseline=baseline)
+        invariance_test(model, frame, ["junk"], seed=4, baseline=baseline)
+        # the frame itself rides along only when no baseline is given
+        assert model.calls == [1 + 3 * 2, 1 + 1, 3 * 2, 1]
+        assert sens == perturbation_test(LinearModel(coefs), frame, 0.05, n_repeats=2, seed=4)
+        assert inv == invariance_test(LinearModel(coefs), frame, ["junk"], seed=4)
+
+    def test_each_part_is_shape_checked(self, rng):
+        class ShortPartModel(StackingModel):
+            def predict_many(self, frames):
+                return [p[:-1] if i == 2 else p for i, p in enumerate(super().predict_many(frames))]
+
+        frame = make_frame(x0=rng.normal(size=50), x1=rng.normal(size=50))
+        with pytest.raises(LengthMismatch, match=r"^scorer returned shape \(49,\) for 50 rows$"):
+            perturbation_test(ShortPartModel({"x0": 1.0}), frame, 0.05, n_repeats=2, seed=0)
+
+
 class TestInvariance:
     def test_model_not_reading_column(self, rng):
         frame = make_frame(x0=rng.normal(size=80), junk=rng.normal(size=80))

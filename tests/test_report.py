@@ -226,8 +226,10 @@ for x0, x1, c in reader:
 
 
 class TestRobustnessStdin:
-    """A robustness stage formats each unchanged column's CSV cells once, yet
-    every scorer call must get on stdin what a fresh render of its frame gives."""
+    """A robustness stage makes three scorer calls, each formatting a column
+    its frames share with their first frame once, yet every call must get on
+    stdin what fresh renders of its frames give: the first frame's with its
+    header, each later frame's without."""
 
     @pytest.mark.parametrize("mode", ["permute", "constant"])
     def test_each_payload_is_a_fresh_render(self, tmp_path, monkeypatch, mode):
@@ -253,21 +255,33 @@ class TestRobustnessStdin:
         frame = make_frame(x0=x0, x1=r.normal(size=40), c=[labels[i % 4] for i in range(40)])
         current = make_scored(frame, np.zeros(40), np.zeros(40))
 
-        frames, payloads, formatted = [], [], []
+        calls, payloads, formatted = [], [], []
         score, run, cells = external.score_external, subprocess.run, external.feature_cells
-        monkeypatch.setattr(external, "score_external", lambda m, f: frames.append(f) or score(m, f))
-        monkeypatch.setattr(subprocess, "run", lambda *a, **kw: payloads.append(kw["input"]) or run(*a, **kw))
+
+        def read_stdin(*a, **kw):
+            payloads.append(kw["stdin"].read())
+            kw["stdin"].seek(0)
+            return run(*a, **kw)
+
+        monkeypatch.setattr(external, "score_external", lambda m, *fs: calls.append(fs) or score(m, *fs))
+        monkeypatch.setattr(subprocess, "run", read_stdin)
         monkeypatch.setattr(external, "feature_cells", lambda col: formatted.append(col.name) or cells(col))
         section = report_module.robustness_section(cfg, current)
         monkeypatch.undo()
 
         assert section["status"] == "ok"
-        assert len(payloads) == len(frames) == 1 + 2 * 2 + 1
-        for f, payload in zip(frames, payloads):
-            assert payload == external.frame_to_csv(f)
-        # the baseline's three columns, each perturbation's one, the two altered ones
-        assert sorted(formatted) == sorted(["x0", "x1", "c"] + ["x0", "x1"] * 2 + ["x1", "c"])
-        assert external._CELL_MEMO.get() is None  # the stage's memo is gone
+        # the shared baseline, every perturbation, the invariance frame
+        assert [len(fs) for fs in calls] == [1, 2 * 2, 1]
+        assert len(payloads) == 3
+        header = "x0,x1,c\r\n"
+        for fs, payload in zip(calls, payloads):
+            fresh = [external.frame_to_csv(f) for f in fs]
+            assert all(text.startswith(header) for text in fresh)
+            assert payload == fresh[0] + "".join(text[len(header):] for text in fresh[1:])
+        # each call's first frame in full; in the perturbation call, also each
+        # later perturbed column, and x0 again where the first frame's x0 was
+        # a perturbed one
+        assert sorted(formatted) == sorted(["x0", "x1", "c"] * 3 + ["x0", "x0", "x1", "x1", "x0"])
 
 
 class TestReportShape:

@@ -202,3 +202,16 @@ def test_no_module_level_scipy_import():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
     ]
     assert found == []
+
+
+def test_one_scorer_launch_and_no_context_state():
+    # external.score_external is the one place a model command is launched,
+    # once per call however many frames it scores; its cell memo is a local
+    # of that call, not state in a context variable
+    found = [
+        (path.name, name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in ("subprocess.run", "ContextVar")
+        for _ in range(path.read_text(encoding="utf-8").count(name))
+    ]
+    assert found == [("external.py", "subprocess.run")]
