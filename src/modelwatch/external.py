@@ -60,8 +60,8 @@ def _column_cells(col: Column, memo: dict | None) -> list[str]:
 
 def _write_payload(stdin: IO[str], frames: Sequence[FeatureFrame]) -> None:
     """Write ``frames`` to ``stdin`` as one CSV table, one frame's text at a
-    time, through one memo: a column held by several frames is formatted
-    once if the first frame holds it."""
+    time, through one memo: each column of the first frame is formatted
+    once, however many later frames hold it."""
     memo: dict = {}
     header = len(_csv_rows([frames[0].names]))
     for i, frame in enumerate(frames):

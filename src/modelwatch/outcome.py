@@ -500,7 +500,7 @@ def _predict_all(model: Scorer, frames: Sequence[FeatureFrame]) -> list[np.ndarr
     """The model's predictions on each frame, one float per row: from one
     ``predict_many`` call when the model has that method, else from a
     ``predict`` call per frame."""
-    if frames and hasattr(model, "predict_many"):
+    if hasattr(model, "predict_many"):
         parts = model.predict_many(frames)
     else:
         parts = map(model.predict, frames)  # each checked before the next is scored
@@ -513,34 +513,20 @@ def _predict_all(model: Scorer, frames: Sequence[FeatureFrame]) -> list[np.ndarr
     return checked
 
 
-def _scored(
-    model: Scorer, frame: FeatureFrame, variants: Sequence[FeatureFrame], baseline: np.ndarray | None
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``baseline``, one prediction per row of ``frame``, or if None the
-    model's, and the model's predictions on each variant of ``frame``."""
-    if baseline is None:
-        baseline, *preds = _predict_all(model, [frame, *variants])
-        return baseline, preds
-    if np.shape(baseline) != (frame.n_rows,):
-        raise LengthMismatch(f"baseline of shape {np.shape(baseline)} for {frame.n_rows} rows")
-    return np.asarray(baseline, dtype=np.float64), _predict_all(model, variants)
-
-
 def perturbation_test(
     model: Scorer,
     frame: FeatureFrame,
     noise_fraction: float = 0.05,
     n_repeats: int = 5,
     seed: int = 0,
-    *, baseline: np.ndarray | None = None,
 ) -> SensitivityReport:
     """Noise-sensitivity test: perturb one feature at a time and rescore.
 
     Each numeric feature independently receives Gaussian noise with
     std = noise_fraction * feature std while the others stay fixed;
-    |prediction delta| statistics against ``baseline`` (if None, the model's
-    predictions on ``frame``) are pooled over rows and repeats. Deterministic
-    for a fixed seed.
+    |prediction delta| statistics against the predictions on ``frame``,
+    scored in the same call as the variants, are pooled over rows and
+    repeats. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     names, variants = frame.numeric_names(), []
@@ -553,7 +539,7 @@ def perturbation_test(
             variants.append(
                 frame.replace_column(NumericColumn(name, col.values + noise, col.missing_mask))
             )
-    baseline, preds = _scored(model, frame, variants, baseline)
+    baseline, *preds = _predict_all(model, [frame, *variants])
     deltas = [np.abs(pred - baseline) for pred in preds]
     rows = []
     for i, name in enumerate(names):
@@ -576,14 +562,13 @@ def invariance_test(
     mode: str = "permute",
     seed: int = 0,
     tolerance: float = 1e-9,
-    *, baseline: np.ndarray | None = None,
 ) -> InvarianceReport:
     """Alter declared-irrelevant features and check predictions stand still.
 
     ``permute`` shuffles each irrelevant column with the run seed;
     ``constant`` sets it to its median (numeric) or mode (categorical).
-    Rows whose |prediction delta| from ``baseline`` (as in
-    ``perturbation_test``) exceeds ``tolerance`` are reported.
+    Rows whose |prediction delta| from the predictions on ``frame``, scored
+    in the same call, exceeds ``tolerance`` are reported.
     """
     if mode not in ("permute", "constant"):
         raise ValueError(f"unknown invariance mode {mode!r}")
@@ -605,7 +590,7 @@ def invariance_test(
             fill = 0 if fill is None else fill  # nothing observed: 0.0, or code 0 of "__EMPTY__"
             labels = ("__EMPTY__",) if col.kind == "categorical" and not col.labels else None
             altered = altered.replace_column(filled_column(col, fill, slice(None), labels))
-    baseline, (pred,) = _scored(model, frame, [altered], baseline)
+    baseline, pred = _predict_all(model, [frame, altered])
     deltas = np.abs(pred - baseline)
     violating = np.nonzero(deltas > tolerance)[0]
     return InvarianceReport(

@@ -341,10 +341,7 @@ def robustness_section(cfg: MonitorConfig, current: ScoredDataset) -> dict:
         return {"status": "not_configured"}
     model = ExternalModel(cfg.model.command, cfg.model.timeout)
     rob, frame = cfg.robustness, current.frame
-    baseline = model.predict(frame)  # scored once, for both tests
-    sensitivity = outcome.perturbation_test(
-        model, frame, rob.noise_fraction, rob.n_repeats, seed=cfg.seed, baseline=baseline
-    )
+    sensitivity = outcome.perturbation_test(model, frame, rob.noise_fraction, rob.n_repeats, seed=cfg.seed)
     section: dict = {
         "status": "ok",
         "noise_fraction": rob.noise_fraction,
@@ -354,7 +351,7 @@ def robustness_section(cfg: MonitorConfig, current: ScoredDataset) -> dict:
     if rob.irrelevant_features:
         inv = outcome.invariance_test(
             model, frame, rob.irrelevant_features, mode=rob.invariance_mode, seed=cfg.seed,
-            tolerance=rob.tolerance, baseline=baseline,
+            tolerance=rob.tolerance,
         )
         section["invariance"] = {
             **asdict(inv),

@@ -163,39 +163,40 @@ class TestRunMonitor:
         by_feature = {row["feature"]: row for row in section["sensitivity"]}
         assert by_feature["x0"]["mean_abs_delta"] > 0
 
-    def test_robustness_scores_the_current_frame_once(self, tmp_path, monkeypatch):
-        # the perturbation and invariance tests share one baseline call: 8
-        # scorer calls for 2 features x 3 repeats (each test scoring its own
-        # made 9), and the report bytes are those of tests that ignore it
+    def test_robustness_stacks_the_current_frame_first_in_both_calls(self, tmp_path, monkeypatch):
+        # each test scores its own unaltered frame in its one call: 2 scorer
+        # calls, none of them a baseline shared between the tests
+        def score(frame):
+            return 2.0 * frame.column("x0").values - frame.column("x1").values ** 2
+
         calls = []
 
-        class CountingModel:
+        class ScoringModel:
             def __init__(self, command, timeout):
                 pass
 
             def predict(self, frame):
-                calls.append(frame.n_rows)
-                return 2.0 * frame.column("x0").values - frame.column("x1").values ** 2
+                calls.append([frame])
+                return score(frame)
 
-        monkeypatch.setattr(report_module, "ExternalModel", CountingModel)
-        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        class StackingModel(ScoringModel):
+            def predict_many(self, frames):
+                calls.append(list(frames))
+                return [score(f) for f in frames]
+
         overrides = {
-            "model": {"command": "counting-model"},
+            "model": {"command": "stacking-model"},
             "robustness": {"n_repeats": 3, "irrelevant_features": ["x1"]},
         }
         cfg = parse_config(write_pipeline_fixture(tmp_path, shift=0.0, config_overrides=overrides))
-        shared = render_report(run_monitor(cfg), "json")
-        assert len(calls) == 8
-
-        def own_baseline(test):
-            return lambda *args, baseline=None, **kwargs: test(*args, **kwargs)
-
-        for name in ("perturbation_test", "invariance_test"):
-            monkeypatch.setattr(outcome, name, own_baseline(getattr(outcome, name)))
-        calls.clear()
-        assert render_report(run_monitor(cfg), "json") == shared
-        assert len(calls) == 1 + 8 + 1  # the section's call is then unused
-        robustness = json.loads(shared)["sections"]["robustness"]
+        current = report_module.RunInputs(cfg).scored("current")
+        monkeypatch.setattr(report_module, "ExternalModel", StackingModel)
+        stacked = json.dumps(report_module.robustness_section(cfg, current), sort_keys=True)
+        assert [len(frames) for frames in calls] == [1 + 2 * 3, 2]
+        assert all(frames[0] is current.frame for frames in calls)
+        monkeypatch.setattr(report_module, "ExternalModel", ScoringModel)
+        assert json.dumps(report_module.robustness_section(cfg, current), sort_keys=True) == stacked
+        robustness = json.loads(stacked)
         assert robustness["status"] == "ok"
         assert robustness["invariance"]["verdict"] == "fail"
 
@@ -226,7 +227,7 @@ for x0, x1, c in reader:
 
 
 class TestRobustnessStdin:
-    """A robustness stage makes three scorer calls, each formatting a column
+    """A robustness stage makes two scorer calls, each formatting a column
     its frames share with their first frame once, yet every call must get on
     stdin what fresh renders of its frames give: the first frame's with its
     header, each later frame's without."""
@@ -270,18 +271,19 @@ class TestRobustnessStdin:
         monkeypatch.undo()
 
         assert section["status"] == "ok"
-        # the shared baseline, every perturbation, the invariance frame
-        assert [len(fs) for fs in calls] == [1, 2 * 2, 1]
-        assert len(payloads) == 3
+        # the current frame and every perturbation; the current frame and the
+        # invariance frame
+        assert [len(fs) for fs in calls] == [1 + 2 * 2, 2]
+        assert all(fs[0] is frame for fs in calls)
+        assert len(payloads) == 2
         header = "x0,x1,c\r\n"
         for fs, payload in zip(calls, payloads):
             fresh = [external.frame_to_csv(f) for f in fs]
             assert all(text.startswith(header) for text in fresh)
             assert payload == fresh[0] + "".join(text[len(header):] for text in fresh[1:])
-        # each call's first frame in full; in the perturbation call, also each
-        # later perturbed column, and x0 again where the first frame's x0 was
-        # a perturbed one
-        assert sorted(formatted) == sorted(["x0", "x1", "c"] * 3 + ["x0", "x0", "x1", "x1", "x0"])
+        # each call's first frame in full, then only the altered columns: the
+        # perturbed x0 and x1 twice each, the invariance frame's x1 and c
+        assert sorted(formatted) == sorted(["x0", "x1", "c"] * 2 + ["x0", "x0", "x1", "x1"] + ["x1", "c"])
 
 
 class TestReportShape:

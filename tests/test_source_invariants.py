@@ -215,3 +215,17 @@ def test_one_scorer_launch_and_no_context_state():
         for _ in range(path.read_text(encoding="utf-8").count(name))
     ]
     assert found == [("external.py", "subprocess.run")]
+
+
+def test_report_scores_only_through_the_robustness_tests():
+    # each robustness test scores its own unaltered frame in its one stacked
+    # call, so the stage itself never calls the scorer
+    tree = ast.parse((PACKAGE / "report.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("predict", "predict_many")
+    ]
+    assert found == []

@@ -115,8 +115,9 @@ def test_each_scorer_call_renders_its_frame_once(tmp_path):
     k = sum(spec.role == "feature" and spec.kind == "numeric" for spec in cfg.schema)
     assert k == 2
     scores = [i for i, s in enumerate(spans.spans) if s["name"] == "external.score"]
-    # the shared baseline, n_repeats frames per numeric feature, the invariance frame
-    assert len(scores) == 3
-    for i, n_frames in zip(scores, [1, 2 * k, 1]):
+    # the current frame with n_repeats frames per numeric feature, then with
+    # the invariance frame
+    assert len(scores) == 2
+    for i, n_frames in zip(scores, [1 + 2 * k, 2]):
         children = [s for s in spans.spans if s["parent"] == i]
         assert [s["name"] for s in children] == ["external.frame_to_csv"] * n_frames
