@@ -93,7 +93,9 @@ def nn_match(
     """Find the k nearest development rows for each new row.
 
     Standardization and the Mahalanobis covariance come from the
-    development data; ties break toward the lower development index.
+    development data, except that a development column with one value takes
+    the standard deviation of both frames pooled; ties break toward the
+    lower development index.
     Development rows may match many new rows (sampling with replacement).
     """
     new.check_same_columns(dev, "new and development frames")
@@ -106,6 +108,9 @@ def nn_match(
 
     if metric == "euclidean_standardized":
         mean, scale = standardize(Xd)
+        constant = np.ptp(Xd, axis=0) == 0
+        if constant.any():  # scale 1 would leave new rows' offsets in the column's own unit
+            scale = np.where(constant, standardize(np.vstack([Xd, Xn]))[1], scale)
         Zn = (Xn - mean) / scale
         Zd = (Xd - mean) / scale
     elif metric == "mahalanobis":

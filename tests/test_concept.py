@@ -118,6 +118,21 @@ class TestNnMatch:
         )
         np.testing.assert_array_equal(a.matched_dev_indices, b.matched_dev_indices)
 
+    @pytest.mark.parametrize("power", [0, 26, -30])
+    def test_constant_dev_column_does_not_weigh_by_its_unit(self, power):
+        # with scale 1 the column kept its raw unit: at 2^26 it swamped x0
+        # and every new row matched dev row 0
+        r = np.random.default_rng(3)
+        dev = np.round(r.normal(size=(3, 2)), 1)
+        dev[:, 1] = 5.0
+        new = np.round(r.normal(size=(4, 2)), 1)
+        new[:, 1] = r.normal(size=4)
+        unit = np.ldexp(1.0, power)
+        result = nn_match(
+            make_frame(x0=new[:, 0], x1=new[:, 1] * unit), make_frame(x0=dev[:, 0], x1=dev[:, 1] * unit)
+        )
+        np.testing.assert_array_equal(result.matched_dev_indices.ravel(), [2, 2, 1, 2])
+
     def test_mahalanobis_metric(self, rng):
         dev = make_frame(x0=rng.normal(size=50), x1=rng.normal(size=50))
         new = make_frame(x0=rng.normal(size=10), x1=rng.normal(size=10))
