@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from modelwatch import external, outcome
+from modelwatch import external
 from modelwatch import report as report_module
 from modelwatch.config import build_config, parse_config
 from modelwatch.data import Schema, write_csv
