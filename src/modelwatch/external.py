@@ -10,17 +10,26 @@ separators; surrounding ASCII whitespace is accepted. Its stderr is passed
 through. Nonzero exit status, unparsable output, a row-count mismatch, or
 exceeding the timeout raise :class:`ModelProtocolError` with the matching
 reason.
+
+The payload streams to the command through a pipe while it runs, a frame at
+a time, so it never sits whole in memory and a command that reads row by row
+overlaps the library's formatting. The timeout runs from launch and covers
+sending the payload. A command that exits without reading all its input is
+judged by its exit status and its output alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import fcntl
 import io
 import math
+import os
 import shlex
 import subprocess
 import sys
-import tempfile
+import threading
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -69,6 +78,21 @@ def _write_payload(stdin: IO[str], frames: Sequence[FeatureFrame]) -> None:
         stdin.write(text[header:] if i else text)
 
 
+_PIPE_BYTES = 1 << 20  # several frames' text: formatting runs ahead of a reading command
+
+
+def _feed(write_end: int, frames: Sequence[FeatureFrame], errors: list) -> None:
+    """Write the payload to ``write_end`` and close it; keep any error but the
+    broken pipe of a command that stopped reading."""
+    try:
+        with open(write_end, "w", newline="") as stdin:
+            _write_payload(stdin, frames)
+    except BrokenPipeError:
+        pass
+    except Exception as exc:
+        errors.append(exc)
+
+
 @dataclass(frozen=True)
 class ExternalModel:
     command: str
@@ -78,7 +102,10 @@ class ExternalModel:
         return score_external(self, frame)
 
     def predict_many(self, frames: Sequence[FeatureFrame]) -> list[np.ndarray]:
-        """The predictions on each of ``frames``, from one launch of the command."""
+        """The predictions on each of ``frames``, from one launch of the
+        command, or none for no frames."""
+        if not frames:
+            return []
         preds = score_external(self, *frames)
         return np.split(preds, np.cumsum([f.n_rows for f in frames[:-1]]))
 
@@ -86,7 +113,14 @@ class ExternalModel:
 def score_external(model: ExternalModel, frame: FeatureFrame, *more: FeatureFrame) -> np.ndarray:
     """Run the external command once on ``frame`` and each of ``more``, sent
     as one table, and collect the predictions of all their rows in order.
-    The timeout is ``model.timeout`` per frame."""
+
+    A writer thread streams the table through a pipe a frame at a time while
+    the command runs, so it never sits whole in memory and a command that
+    reads row by row overlaps its formatting. The timeout is
+    ``model.timeout`` per frame from launch, sending included. A command that
+    exits without reading all of it is judged by its exit status and output
+    alone; an error while formatting it is raised as itself, ahead of any
+    protocol check."""
     args = shlex.split(model.command)
     if not args:
         raise ModelProtocolError("exit_code", "empty model command")
@@ -95,18 +129,25 @@ def score_external(model: ExternalModel, frame: FeatureFrame, *more: FeatureFram
     frames = (frame, *more)
     n_rows = sum(f.n_rows for f in frames)
     timeout = model.timeout * len(frames)
-    # the payload goes to a file a frame at a time, never whole into memory
-    with tempfile.TemporaryFile("w+", newline="") as stdin:
-        _write_payload(stdin, frames)
-        stdin.seek(0)
-        try:
-            proc = subprocess.run(args, stdin=stdin, capture_output=True, text=True, timeout=timeout)
-        except subprocess.TimeoutExpired:
-            raise ModelProtocolError(
-                "timeout", f"model exceeded {timeout:g}s timeout and was terminated"
-            ) from None
-        except OSError as exc:
-            raise ModelProtocolError("exit_code", f"could not launch model: {exc}") from None
+    read_end, write_end = os.pipe()
+    with contextlib.suppress(AttributeError, OSError):  # else keep the default size
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    errors: list = []
+    writer = threading.Thread(target=_feed, args=(write_end, frames, errors), daemon=True)
+    writer.start()
+    try:
+        proc = subprocess.run(args, stdin=read_end, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise ModelProtocolError(
+            "timeout", f"model exceeded {timeout:g}s timeout and was terminated"
+        ) from None
+    except OSError as exc:
+        raise ModelProtocolError("exit_code", f"could not launch model: {exc}") from None
+    finally:
+        os.close(read_end)  # a writer blocked on a full pipe now gets EPIPE
+        writer.join()
+        if errors:
+            raise errors[0]
 
     if proc.stderr:
         sys.stderr.write(proc.stderr)

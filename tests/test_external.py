@@ -1,10 +1,15 @@
+import contextlib
+import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from modelwatch import external
 from modelwatch.data import NumericColumn
 from modelwatch.errors import ModelProtocolError, SchemaMismatch
 from modelwatch.external import ExternalModel, frame_to_csv, score_external
@@ -172,6 +177,12 @@ class TestStackedCall:
             score_external(model, frame, other)
         assert launches == []
 
+    def test_no_frames_launch_nothing(self, monkeypatch):
+        launches = []
+        monkeypatch.setattr(subprocess, "run", lambda *a, **kw: launches.append(a))
+        assert ExternalModel("/nonexistent/binary").predict_many([]) == []
+        assert launches == []
+
     def test_count_mismatch_names_the_total_rows(self, tmp_path, frame):
         model = ExternalModel(model_command(tmp_path, SHORT_OUTPUT_MODEL, "short.py"))
         with pytest.raises(ModelProtocolError) as exc:
@@ -206,6 +217,66 @@ class TestStackedCall:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 3 * payload
+
+
+@contextlib.contextmanager
+def leaves_nothing_behind():
+    threads, fds = threading.active_count(), len(os.listdir("/proc/self/fd"))
+    yield
+    assert threading.active_count() == threads
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+class TestStreamedPayload:
+    """The payload streams through a pipe while the command runs. These
+    frames' 2.4 MB outgrow the pipe, so a command that stops reading leaves
+    the writer blocked until the call ends, and the call must still end."""
+
+    @pytest.fixture
+    def frames(self):
+        r = np.random.default_rng(5)
+        return [make_frame(x=r.normal(size=20_000), other=r.normal(size=20_000)) for _ in range(3)]
+
+    def test_sleeper_that_never_reads_times_out_on_time(self, tmp_path, frames):
+        model = ExternalModel(model_command(tmp_path, "import time\ntime.sleep(30)\n", "sleeper.py"), timeout=0.5)
+        start = time.perf_counter()
+        with leaves_nothing_behind(), pytest.raises(ModelProtocolError) as exc:
+            score_external(model, *frames)
+        assert time.perf_counter() - start < 1.5 + 1.0
+        assert str(exc.value) == "[timeout] model exceeded 1.5s timeout and was terminated"
+
+    def test_exit_without_reading_is_judged_by_its_status(self, tmp_path, frames):
+        model = ExternalModel(model_command(tmp_path, "import sys\nsys.exit(3)\n", "exit.py"))
+        start = time.perf_counter()
+        with leaves_nothing_behind(), pytest.raises(ModelProtocolError) as exc:
+            score_external(model, *frames)
+        assert time.perf_counter() - start < 10.0  # the call's timeout is 180 s
+        assert str(exc.value) == "[exit_code] model exited with status 3"
+
+    def test_output_without_reading_is_returned(self, tmp_path, frames):
+        source = 'import sys\nsys.stdout.write("1\\n" * 60_000)\n'
+        model = ExternalModel(model_command(tmp_path, source, "ones.py"))
+        with leaves_nothing_behind():
+            preds = score_external(model, *frames)
+        np.testing.assert_array_equal(preds, np.ones(60_000))
+
+    def test_formatting_error_surfaces_as_itself(self, tmp_path, frames, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        cells, formatted = external.feature_cells, []
+
+        def failing_cells(col):
+            formatted.append(col.name)
+            if len(formatted) == 3:  # the second frame's first column
+                raise Boom("while formatting the second frame")
+            return cells(col)
+
+        monkeypatch.setattr(external, "feature_cells", failing_cells)
+        model = ExternalModel(model_command(tmp_path, ONES_MODEL, "ones.py"))
+        with leaves_nothing_behind(), pytest.raises(Boom, match="second frame"):
+            score_external(model, *frames)
+        assert formatted == ["x", "other", "x"]
 
 
 class TestFrameToCsv:

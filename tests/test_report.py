@@ -1,5 +1,4 @@
 import json
-import subprocess
 import sys
 
 import numpy as np
@@ -217,12 +216,19 @@ class TestRunMonitor:
         assert exit_code_for(report) == 1
 
 
+# keeps each call's stdin byte for byte as <calls dir>/<call index>.csv, then
+# scores that copy
 SCORING_MODEL = """\
-import csv, sys
-reader = csv.reader(sys.stdin)
-next(reader)
-for x0, x1, c in reader:
-    print(2.0 * float(x0 or 0.0) + len(c))
+import csv, pathlib, shutil, sys
+calls = pathlib.Path(sys.argv[1])
+copy = calls / f"{len(list(calls.iterdir()))}.csv"
+with open(copy, "wb") as out:
+    shutil.copyfileobj(sys.stdin.buffer, out)
+with open(copy, newline="") as payload:
+    reader = csv.reader(payload)
+    next(reader)
+    for x0, x1, c in reader:
+        print(2.0 * float(x0 or 0.0) + len(c))
 """
 
 
@@ -236,6 +242,8 @@ class TestRobustnessStdin:
     def test_each_payload_is_a_fresh_render(self, tmp_path, monkeypatch, mode):
         script = tmp_path / "model.py"
         script.write_text(SCORING_MODEL)
+        payload_dir = tmp_path / "calls"
+        payload_dir.mkdir()
         columns = [{"name": n, "kind": "numeric", "role": "feature"} for n in ("x0", "x1")]
         columns += [
             {"name": "c", "kind": "categorical", "role": "feature"},
@@ -245,7 +253,7 @@ class TestRobustnessStdin:
         cfg = build_config({
             "schema": {"columns": columns},
             "data": {"reference": "reference.csv", "current": "current.csv"},
-            "model": {"command": f"{sys.executable} {script}"},
+            "model": {"command": f"{sys.executable} {script} {payload_dir}"},
             # x1 and c are replaced by new column objects of the same names
             "robustness": {"n_repeats": 2, "irrelevant_features": ["x1", "c"], "invariance_mode": mode},
         })
@@ -256,19 +264,16 @@ class TestRobustnessStdin:
         frame = make_frame(x0=x0, x1=r.normal(size=40), c=[labels[i % 4] for i in range(40)])
         current = make_scored(frame, np.zeros(40), np.zeros(40))
 
-        calls, payloads, formatted = [], [], []
-        score, run, cells = external.score_external, subprocess.run, external.feature_cells
-
-        def read_stdin(*a, **kw):
-            payloads.append(kw["stdin"].read())
-            kw["stdin"].seek(0)
-            return run(*a, **kw)
-
+        calls, formatted = [], []
+        score, cells = external.score_external, external.feature_cells
         monkeypatch.setattr(external, "score_external", lambda m, *fs: calls.append(fs) or score(m, *fs))
-        monkeypatch.setattr(subprocess, "run", read_stdin)
         monkeypatch.setattr(external, "feature_cells", lambda col: formatted.append(col.name) or cells(col))
         section = report_module.robustness_section(cfg, current)
         monkeypatch.undo()
+        payloads = []
+        for i in range(len(list(payload_dir.iterdir()))):
+            with open(payload_dir / f"{i}.csv", newline="") as copy:
+                payloads.append(copy.read())
 
         assert section["status"] == "ok"
         # the current frame and every perturbation; the current frame and the
