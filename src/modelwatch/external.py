@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import fcntl
 import io
 import math
 import os
@@ -34,6 +33,11 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: the pipe keeps its default size
+    fcntl = None
 
 from .data import Column, FeatureFrame, _plain_number_text, _plain_numbers, feature_cells
 from .errors import ModelProtocolError
@@ -114,13 +118,8 @@ def score_external(model: ExternalModel, frame: FeatureFrame, *more: FeatureFram
     """Run the external command once on ``frame`` and each of ``more``, sent
     as one table, and collect the predictions of all their rows in order.
 
-    A writer thread streams the table through a pipe a frame at a time while
-    the command runs, so it never sits whole in memory and a command that
-    reads row by row overlaps its formatting. The timeout is
-    ``model.timeout`` per frame from launch, sending included. A command that
-    exits without reading all of it is judged by its exit status and output
-    alone; an error while formatting it is raised as itself, ahead of any
-    protocol check."""
+    The timeout is ``model.timeout`` per frame. An error while formatting
+    the table is raised as itself, ahead of any protocol check."""
     args = shlex.split(model.command)
     if not args:
         raise ModelProtocolError("exit_code", "empty model command")
@@ -134,20 +133,31 @@ def score_external(model: ExternalModel, frame: FeatureFrame, *more: FeatureFram
         fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
     errors: list = []
     writer = threading.Thread(target=_feed, args=(write_end, frames, errors), daemon=True)
-    writer.start()
+    try:
+        writer.start()
+    except RuntimeError:
+        os.close(write_end)
+        os.close(read_end)
+        raise
+    failure = None
     try:
         proc = subprocess.run(args, stdin=read_end, capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        raise ModelProtocolError(
-            "timeout", f"model exceeded {timeout:g}s timeout and was terminated"
-        ) from None
-    except OSError as exc:
-        raise ModelProtocolError("exit_code", f"could not launch model: {exc}") from None
+    except (subprocess.TimeoutExpired, OSError) as exc:
+        failure = exc
     finally:
-        os.close(read_end)  # a writer blocked on a full pipe now gets EPIPE
+        # Drain the pipe rather than only close it: a process the command
+        # started may still hold the read end without reading, and the writer
+        # must finish all the same.
+        while os.read(read_end, 1 << 16):
+            pass
+        os.close(read_end)
         writer.join()
-        if errors:
-            raise errors[0]
+    if errors:
+        raise errors[0]
+    if isinstance(failure, subprocess.TimeoutExpired):
+        raise ModelProtocolError("timeout", f"model exceeded {timeout:g}s timeout and was terminated")
+    if failure is not None:
+        raise ModelProtocolError("exit_code", f"could not launch model: {failure}")
 
     if proc.stderr:
         sys.stderr.write(proc.stderr)

@@ -245,6 +245,25 @@ class TestStreamedPayload:
         assert time.perf_counter() - start < 1.5 + 1.0
         assert str(exc.value) == "[timeout] model exceeded 1.5s timeout and was terminated"
 
+    def test_timeout_holds_while_a_forked_process_keeps_stdin(self, tmp_path, frames):
+        pid_file = tmp_path / "orphan.pid"
+        source = (
+            "import subprocess, sys, time\n"
+            "orphan = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(30)'])\n"
+            f"open({str(pid_file)!r}, 'w').write(str(orphan.pid))\n"
+            "time.sleep(30)\n"
+        )
+        model = ExternalModel(model_command(tmp_path, source, "forks.py"), timeout=0.5)
+        start = time.perf_counter()
+        try:
+            with leaves_nothing_behind(), pytest.raises(ModelProtocolError) as exc:
+                score_external(model, *frames)
+            assert time.perf_counter() - start < 1.5 + 1.0
+            assert str(exc.value) == "[timeout] model exceeded 1.5s timeout and was terminated"
+        finally:
+            with contextlib.suppress(OSError, ValueError):
+                os.kill(int(pid_file.read_text()), 9)
+
     def test_exit_without_reading_is_judged_by_its_status(self, tmp_path, frames):
         model = ExternalModel(model_command(tmp_path, "import sys\nsys.exit(3)\n", "exit.py"))
         start = time.perf_counter()
@@ -277,6 +296,28 @@ class TestStreamedPayload:
         with leaves_nothing_behind(), pytest.raises(Boom, match="second frame"):
             score_external(model, *frames)
         assert formatted == ["x", "other", "x"]
+
+
+    def test_writer_that_cannot_start_leaves_no_fd(self, tmp_path, frames, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        model = ExternalModel(model_command(tmp_path, ONES_MODEL, "ones.py"))
+        with leaves_nothing_behind(), pytest.raises(RuntimeError, match="new thread"):
+            score_external(model, *frames)
+
+    def test_formatting_error_does_not_mask_an_interrupt(self, frames, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        def failing_cells(col):
+            raise ValueError("formatting failed")
+
+        monkeypatch.setattr(subprocess, "run", interrupted)
+        monkeypatch.setattr(external, "feature_cells", failing_cells)
+        with leaves_nothing_behind(), pytest.raises(KeyboardInterrupt):
+            score_external(ExternalModel("model"), *frames)
 
 
 class TestFrameToCsv:
