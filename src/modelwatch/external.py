@@ -118,8 +118,10 @@ def score_external(model: ExternalModel, frame: FeatureFrame, *more: FeatureFram
     """Run the external command once on ``frame`` and each of ``more``, sent
     as one table, and collect the predictions of all their rows in order.
 
-    The timeout is ``model.timeout`` per frame. An error while formatting
-    the table is raised as itself, ahead of any protocol check."""
+    The table streams to the command as the module docstring describes;
+    the timeout is ``model.timeout`` per frame from launch, sending
+    included. An error while formatting the table is raised as itself,
+    ahead of any protocol check."""
     args = shlex.split(model.command)
     if not args:
         raise ModelProtocolError("exit_code", "empty model command")
