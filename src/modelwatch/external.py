@@ -26,6 +26,7 @@ import io
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import threading
@@ -97,6 +98,16 @@ def _feed(write_end: int, frames: Sequence[FeatureFrame], errors: list) -> None:
         errors.append(exc)
 
 
+def _kill_group(proc) -> None:
+    """Kill the command's process group, so the processes it started end
+    with it; where there are no process groups, the command alone."""
+    if not hasattr(os, "killpg"):
+        proc.kill()
+        return
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+
+
 @dataclass(frozen=True)
 class ExternalModel:
     command: str
@@ -143,7 +154,16 @@ def score_external(model: ExternalModel, frame: FeatureFrame, *more: FeatureFram
         raise
     failure = None
     try:
-        proc = subprocess.run(args, stdin=read_end, capture_output=True, text=True, timeout=timeout)
+        with subprocess.Popen(
+            args, stdin=read_end, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        ) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=timeout)
+            except BaseException:
+                _kill_group(proc)
+                proc.wait()
+                raise
     except (subprocess.TimeoutExpired, OSError) as exc:
         failure = exc
     finally:
@@ -161,14 +181,14 @@ def score_external(model: ExternalModel, frame: FeatureFrame, *more: FeatureFram
     if failure is not None:
         raise ModelProtocolError("exit_code", f"could not launch model: {failure}")
 
-    if proc.stderr:
-        sys.stderr.write(proc.stderr)
+    if stderr:
+        sys.stderr.write(stderr)
     if proc.returncode != 0:
         raise ModelProtocolError(
             "exit_code", f"model exited with status {proc.returncode}"
         )
 
-    lines = [line for line in proc.stdout.splitlines() if line.strip()]
+    lines = [line for line in stdout.splitlines() if line.strip()]
     predictions = _plain_numbers(lines)
     if predictions is None:  # the per-line loop names the first bad line
         for i, line in enumerate(lines):

@@ -227,6 +227,21 @@ def leaves_nothing_behind():
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
+def _ended(pid, wait_s=2.0):
+    """Whether process ``pid`` is gone or a zombie within ``wait_s``: a
+    SIGKILL is acted on when the process next runs."""
+    deadline = time.monotonic() + wait_s
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                state = f.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return True
+        if state in ("Z", "X") or time.monotonic() > deadline:
+            return state in ("Z", "X")
+        time.sleep(0.01)
+
+
 class TestStreamedPayload:
     """The payload streams through a pipe while the command runs. These
     frames' 2.4 MB outgrow the pipe, so a command that stops reading leaves
@@ -260,6 +275,9 @@ class TestStreamedPayload:
                 score_external(model, *frames)
             assert time.perf_counter() - start < 1.5 + 1.0
             assert str(exc.value) == "[timeout] model exceeded 1.5s timeout and was terminated"
+            # the command's whole process group was killed: the orphan is
+            # dead, at most waiting to be reaped by its new parent
+            assert _ended(int(pid_file.read_text()))
         finally:
             with contextlib.suppress(OSError, ValueError):
                 os.kill(int(pid_file.read_text()), 9)
@@ -314,7 +332,7 @@ class TestStreamedPayload:
         def failing_cells(col):
             raise ValueError("formatting failed")
 
-        monkeypatch.setattr(subprocess, "run", interrupted)
+        monkeypatch.setattr(subprocess, "Popen", interrupted)
         monkeypatch.setattr(external, "feature_cells", failing_cells)
         with leaves_nothing_behind(), pytest.raises(KeyboardInterrupt):
             score_external(ExternalModel("model"), *frames)

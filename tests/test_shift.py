@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from typing import Sequence
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelwatch import shift
-from modelwatch._geometry import sq_dists
+from modelwatch._geometry import row_blocks, sq_dists
 from modelwatch.config import parse_config
 from modelwatch.data import CategoricalColumn, FeatureFrame, NumericColumn
 from modelwatch.errors import DimensionMismatch, EmptySample, SchemaError, SchemaMismatch
@@ -572,15 +573,32 @@ class TestPublicStatisticsBeyondOneBlock:
         assert mmd2(X, X.copy()) == pytest.approx(0.0, abs=1e-12)
 
 def _masked_median(Z):
-    """``np.median`` of the strictly upper triangle of ``sq_dists(Z, Z)``:
-    the reduction ``_pooled_sq_median`` replaced."""
+    """``np.median`` of the strictly upper triangle of ``sq_dists(Z, Z)``,
+    from one product, so it matches the blocked cells only on grid data."""
     idx = np.arange(len(Z))
     return float(np.median(sq_dists(Z, Z)[idx[:, None] < idx[None, :]]))
 
 
+def _vector_median(Z):
+    """The reference: every strictly upper cell of the same ``row_blocks``
+    as ``_pooled_sq_median``'s, copied row by row into one vector of
+    N(N-1)/2 floats, and ``np.median``'s order statistics from one partition."""
+    N = len(Z)
+    upper = np.empty(N * (N - 1) // 2)
+    at = 0
+    for start, stop in row_blocks(N, N):
+        block = sq_dists(Z[start:stop], Z)
+        for i in range(start, stop):
+            upper[at : at + N - 1 - i] = block[i - start, i + 1 :]
+            at += N - 1 - i
+    k = len(upper) // 2
+    upper.partition(k)
+    return float(upper[k] if len(upper) % 2 else np.mean([upper[:k].max(), upper[k]]))
+
+
 class TestPooledSqMedian:
-    """The one-partition median against ``np.median`` on the same entries,
-    bit for bit: order statistics are values, so only the selection differs."""
+    """The band median against ``np.median`` on the same entries, bit for
+    bit: order statistics are values, so only the selection differs."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -609,6 +627,73 @@ class TestPooledSqMedian:
     def test_beyond_one_block(self, N):
         Z = np.round(2 * np.random.default_rng(N).normal(size=(N, 3)))
         assert shift._pooled_sq_median(Z) == _masked_median(Z)
+
+
+class TestBandMedian:
+    """The streamed band selection against the vector reference, bit for
+    bit, on continuous data beyond one block (1024 rows) and past the
+    sample size (20,000 pairs), where the band is in use."""
+
+    @staticmethod
+    def _counting_passes(monkeypatch, N):
+        """Record the blocks ``_pooled_sq_median`` builds; a pass is
+        ``len(row_blocks(N, N))`` of them."""
+        built = []
+        original = shift.sq_dists
+        monkeypatch.setattr(shift, "sq_dists", lambda A, B: built.append(len(A)) or original(A, B))
+        return lambda: len(built) / len(row_blocks(N, N))
+
+    # 1999000 pairs (even) and 4504501 (odd)
+    @pytest.mark.parametrize("N", [2000, 3002])
+    def test_equals_the_vector_reference_in_one_pass(self, N, monkeypatch):
+        Z = np.random.default_rng(N).normal(size=(N, 5))
+        passes = self._counting_passes(monkeypatch, N)
+        got = shift._pooled_sq_median(Z)
+        assert passes() == 1
+        assert got == _vector_median(Z)
+
+    def test_a_zero_width_band_misses_and_widens_to_every_cell(self, monkeypatch):
+        # on continuous data the band [v, v] holds at most one cell, never
+        # both middle order statistics of this even pair count
+        monkeypatch.setattr(shift, "_BAND_HALF_WIDTH", 0.0)
+        Z = np.random.default_rng(7).normal(size=(1100, 3))
+        passes = self._counting_passes(monkeypatch, len(Z))
+        got = shift._pooled_sq_median(Z)
+        assert passes() == 2
+        assert got == _vector_median(Z)
+
+    @pytest.mark.parametrize("band", [(-2.0, -1.0), (1e9, 2e9)], ids=["below", "above"])
+    def test_a_band_off_every_cell_widens_on_grid_data(self, band, monkeypatch):
+        monkeypatch.setattr(shift, "_sampled_band", lambda Z: band)
+        Z = np.round(2 * np.random.default_rng(8).normal(size=(1103, 3)))  # odd pair count
+        passes = self._counting_passes(monkeypatch, len(Z))
+        got = shift._pooled_sq_median(Z)
+        assert passes() == 2
+        assert got == _vector_median(Z)
+
+    @pytest.mark.parametrize("N", [1100, 1103])  # 604450 (even) and 607753 (odd) pairs
+    def test_tie_heavy_grid_stays_exact(self, N):
+        # few distinct squared distances: the band's edges fall on ties
+        Z = np.round(np.random.default_rng(N).normal(size=(N, 2)))
+        assert shift._pooled_sq_median(Z) == _vector_median(Z)
+
+    def test_up_to_the_sample_size_one_pass_keeps_every_cell(self, monkeypatch):
+        called = []
+        monkeypatch.setattr(shift, "_sampled_band", lambda Z: called.append(Z))
+        Z = np.random.default_rng(3).normal(size=(200, 5))  # 19900 pairs
+        passes = self._counting_passes(monkeypatch, len(Z))
+        assert shift._pooled_sq_median(Z) == _vector_median(Z)
+        assert passes() == 1 and called == []
+
+    def test_memory_stays_at_one_block_and_the_band(self):
+        Z = np.random.default_rng(0).normal(size=(4000, 5))
+        tracemalloc.start()
+        try:
+            shift._pooled_sq_median(Z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20  # the vector of 7998000 pairs alone is 64 MB
 
 
 class TestFrequencyPair:

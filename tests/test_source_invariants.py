@@ -211,10 +211,10 @@ def test_one_scorer_launch_and_no_context_state():
     found = [
         (path.name, name)
         for path in sorted(PACKAGE.rglob("*.py"))
-        for name in ("subprocess.run", "ContextVar")
+        for name in ("subprocess.Popen", "subprocess.run", "ContextVar")
         for _ in range(path.read_text(encoding="utf-8").count(name))
     ]
-    assert found == [("external.py", "subprocess.run")]
+    assert found == [("external.py", "subprocess.Popen")]
 
 
 def test_report_scores_only_through_the_robustness_tests():
