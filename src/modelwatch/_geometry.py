@@ -47,12 +47,25 @@ def standardize(ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where(std > 0, std, 1.0)
 
 
+_ADD_CELLS = 1 << 16  # cells of |a|^2 + |b|^2 formed at a time: 512 KB
+
+
 def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of A and of B, by the
-    expansion |a|^2 + |b|^2 - 2 a.b, floored at 0 against rounding."""
+    expansion |a|^2 + |b|^2 - 2 a.b, floored at 0 against rounding.
+
+    The product's array is the only full-size one: |a|^2 + |b|^2 is formed
+    a few rows at a time and added to -2 a.b, which gives the bits of
+    (|a|^2 + |b|^2) - 2 a.b, since -y + x is x - y exactly. So a blocked
+    pass frees one block-size array per block, not two, and the allocator
+    keeps that memory for the next block instead of returning it."""
     aa = np.sum(A * A, axis=1)[:, None]
     bb = np.sum(B * B, axis=1)[None, :]
-    sq = aa + bb - 2.0 * (A @ B.T)
+    sq = A @ B.T
+    sq *= -2.0
+    step = max(1, _ADD_CELLS // max(len(B), 1))
+    for start in range(0, len(A), step):
+        sq[start : start + step] += aa[start : start + step] + bb
     return np.maximum(sq, 0.0, out=sq)
 
 

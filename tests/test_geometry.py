@@ -257,6 +257,25 @@ def test_sq_dists_matches_difference_form_and_is_never_negative():
     assert (sq >= 0).all()
 
 
+@pytest.mark.parametrize("grid", [False, True])
+def test_sq_dists_keeps_the_expansion_bits_with_one_full_size_array(grid):
+    # 300 x 700 cells span four 2**16-cell slices of the |a|^2 + |b|^2 term
+    rng = np.random.default_rng(3)
+    A, B = rng.normal(size=(300, 5)) * 3, rng.normal(size=(700, 5)) * 3
+    if grid:  # exact products and sums: duplicate rows are exactly 0 apart
+        A, B = np.round(A), np.vstack([np.round(A[:200]), np.round(B[200:])])
+    expansion = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * (A @ B.T)
+    expected = np.maximum(expansion, 0.0)
+    tracemalloc.start()
+    try:
+        got = sq_dists(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))  # +0.0, never -0.0
+    assert peak < 1.5 * got.nbytes  # the expansion written out takes two such arrays
+
+
 def test_standardize_gives_constant_column_scale_one():
     X = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
     mean, scale = standardize(X)
