@@ -15,7 +15,8 @@ The payload streams to the command through a pipe while it runs, a frame at
 a time, so it never sits whole in memory and a command that reads row by row
 overlaps the library's formatting. The timeout runs from launch and covers
 sending the payload. A command that exits without reading all its input is
-judged by its exit status and its output alone.
+judged by its exit status and its output alone. The command runs in its own
+session, and on timeout its whole process group is killed.
 """
 
 from __future__ import annotations
