@@ -436,12 +436,18 @@ def _plain_numbers(tokens: list[str]) -> np.ndarray | None:
     return None
 
 
-def _parse_numeric(token: str, row: int, col: str) -> float:
+def _plain_number(token: str) -> float | None:
+    """``float(token)``, finite or not, when the token is a plain number:
+    ASCII text without ``_`` that ``float()`` reads. None for anything else."""
     try:
-        value = float(token) if _plain_number_text(token) else math.nan
+        return float(token) if _plain_number_text(token) else None
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):  # NaN only ever marks a missing cell
+        return None
+
+
+def _parse_numeric(token: str, row: int, col: str) -> float:
+    value = _plain_number(token)
+    if value is None or not math.isfinite(value):  # NaN only ever marks a missing cell
         raise TypeParseError(row, col, token)
     return value
 

@@ -32,7 +32,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ try:
 except ImportError:  # not POSIX: the pipe keeps its default size
     fcntl = None
 
-from .data import Column, FeatureFrame, _plain_number_text, _plain_numbers, feature_cells
+from .data import Column, FeatureFrame, _plain_number, _plain_numbers, feature_cells
 from .errors import ModelProtocolError
 
 
@@ -73,28 +73,21 @@ def _column_cells(col: Column, memo: dict | None) -> list[str]:
     return cells if kept is col else feature_cells(col)
 
 
-def _write_payload(stdin: IO[str], frames: Sequence[FeatureFrame]) -> None:
-    """Write ``frames`` to ``stdin`` as one CSV table, one frame's text at a
-    time, through one memo: each column of the first frame is formatted
-    once, however many later frames hold it."""
-    memo: dict = {}
-    header = len(_csv_rows([frames[0].names]))
-    for i, frame in enumerate(frames):
-        text = frame_to_csv(frame, memo)
-        stdin.write(text[header:] if i else text)
-
-
 _PIPE_BYTES = 1 << 20  # several frames' text: formatting runs ahead of a reading command
 
 
 def _feed(write_end: int, frames: Sequence[FeatureFrame], errors: list) -> None:
-    """Write the payload to ``write_end`` and close it; keep any error but the
-    broken pipe of a command that stopped reading."""
+    """Write ``frames`` to ``write_end`` as one CSV table, one frame's text at
+    a time, through one memo, and close it; keep any error. Each column of the
+    first frame is formatted once, however many later frames hold it. The
+    caller reads the pipe to its end, so no write meets a closed pipe."""
     try:
         with open(write_end, "w", newline="") as stdin:
-            _write_payload(stdin, frames)
-    except BrokenPipeError:
-        pass
+            memo: dict = {}
+            header = len(_csv_rows([frames[0].names]))
+            for i, frame in enumerate(frames):
+                text = frame_to_csv(frame, memo)
+                stdin.write(text[header:] if i else text)
     except Exception as exc:
         errors.append(exc)
 
@@ -193,12 +186,9 @@ def score_external(model: ExternalModel, frame: FeatureFrame, *more: FeatureFram
     predictions = _plain_numbers(lines)
     if predictions is None:  # the per-line loop names the first bad line
         for i, line in enumerate(lines):
-            try:
-                if not _plain_number_text(line):
-                    raise ValueError(line)
-                value = float(line)
-            except ValueError:
-                raise ModelProtocolError("parse", f"line {i + 1}: not a decimal: {line!r}") from None
+            value = _plain_number(line)
+            if value is None:
+                raise ModelProtocolError("parse", f"line {i + 1}: not a decimal: {line!r}")
             if not math.isfinite(value):
                 raise ModelProtocolError("parse", f"line {i + 1}: not a finite decimal: {line!r}")
     if len(lines) != n_rows:

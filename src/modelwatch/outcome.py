@@ -204,14 +204,18 @@ def score_groups(
     return scores
 
 
+def metric_ratio(value: float, reference: float) -> float:
+    """``value / reference``; over a zero reference, 1.0 when ``value`` is 0
+    too (nothing to compare), else inf."""
+    if reference == 0:
+        return 1.0 if value == 0 else float("inf")
+    return value / reference
+
+
 def _lift(value: float | None, overall: float | None) -> tuple[float | None, bool]:
     if value is None or overall is None:
         return None, False
-    if overall == 0:
-        if value == 0:
-            return 1.0, True  # degenerate by convention: nothing to compare
-        return float("inf"), True
-    return value / overall, False
+    return metric_ratio(value, overall), overall == 0  # degenerate: a zero overall
 
 
 # ---------------------------------------------------------------------------

@@ -282,29 +282,14 @@ def outliers_pca_mahalanobis(
     """
     X = complete_matrix(frame, "PCA-Mahalanobis")
     basis = fit_pca(X, variance_fraction)
-    n = X.shape[0]
+    params = {"variance_fraction": variance_fraction, "alpha": alpha, "n_components": basis.n_components}
     if basis.n_components == 0:
         warnings.warn("constant data: Mahalanobis distances set to 0, no flags", stacklevel=2)
-        return OutlierScoreSet(
-            "pca_mahalanobis",
-            np.zeros(n),
-            np.zeros(n, dtype=bool),
-            {"variance_fraction": variance_fraction, "alpha": alpha, "n_components": 0},
-        )
+        scores = np.zeros(X.shape[0])
+        return OutlierScoreSet("pca_mahalanobis", scores, np.zeros(scores.size, dtype=bool), params)
     scores = np.sum(basis.transform(X) ** 2 / basis.variances, axis=1)
     from scipy.special import gammaincinv  # loaded on first use, not at import
 
     # the chi-squared quantile: 2 * P^-1(df / 2, q), the bits of scipy.stats.chi2.ppf
-    threshold = float(2.0 * gammaincinv(basis.n_components / 2, 1 - alpha))
-    flags = scores > threshold
-    return OutlierScoreSet(
-        "pca_mahalanobis",
-        scores,
-        flags,
-        {
-            "variance_fraction": variance_fraction,
-            "alpha": alpha,
-            "n_components": basis.n_components,
-            "threshold": threshold,
-        },
-    )
+    params["threshold"] = threshold = float(2.0 * gammaincinv(basis.n_components / 2, 1 - alpha))
+    return OutlierScoreSet("pca_mahalanobis", scores, scores > threshold, params)

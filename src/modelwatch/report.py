@@ -258,12 +258,6 @@ def concept_section(
     }
 
 
-def _ratio(cur: float, ref: float) -> float:
-    if ref == 0:
-        return 1.0 if cur == 0 else float("inf")
-    return cur / ref
-
-
 def performance_section(cfg: MonitorConfig, reference: ScoredDataset, current: ScoredDataset) -> dict:
     binary = outcome.default_error_metric(reference.y_true) == "error_rate" and (
         outcome.default_error_metric(current.y_true) == "error_rate"
@@ -279,7 +273,7 @@ def performance_section(cfg: MonitorConfig, reference: ScoredDataset, current: S
 
     ref_vals = values(reference)
     cur_vals = values(current)
-    ratio = _ratio(cur_vals[tracked], ref_vals[tracked])
+    ratio = outcome.metric_ratio(cur_vals[tracked], ref_vals[tracked])
     return {
         "status": "ok",
         "prediction_type": "binary" if binary else "regression",

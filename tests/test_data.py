@@ -171,6 +171,13 @@ class TestLoadCsv:
         assert frame.column("age").missing_mask[0]
         assert not frame.column("age").missing_mask[1]
 
+    @pytest.mark.parametrize("role", ["target", "prediction"])
+    def test_one_scored_role_without_the_other_is_a_schema_error(self, tmp_path, role):
+        path = write(tmp_path, "x0,y\n1,2\n")
+        schema = Schema([ColumnSpec("x0", "numeric"), ColumnSpec("y", "numeric", role=role)])
+        with pytest.raises(SchemaError, match="^schema must carry both target and prediction roles, or neither$"):
+            load_csv(path, schema)
+
     def test_bad_numeric_token(self, tmp_path):
         path = write(tmp_path, "age,grade\nabc,A\n")
         with pytest.raises(TypeParseError) as exc:

@@ -139,6 +139,15 @@ class TestScoreExternal:
         assert exc.value.reason == "exit_code"
         assert "boom" in capsys.readouterr().err  # stderr passed through
 
+    def test_predict_scores_the_one_frame(self, tmp_path, frame):
+        model = ExternalModel(model_command(tmp_path, IDENTITY_MODEL, "identity.py"))
+        np.testing.assert_array_equal(model.predict(frame), score_external(model, frame))
+
+    def test_blank_command_is_an_empty_model_command(self, frame):
+        with pytest.raises(ModelProtocolError) as exc:
+            ExternalModel("   ").predict(frame)
+        assert str(exc.value) == "[exit_code] empty model command"
+
     def test_unlaunchable_command(self, frame):
         model = ExternalModel("/nonexistent/binary")
         with pytest.raises(ModelProtocolError) as exc:

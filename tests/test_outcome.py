@@ -172,6 +172,18 @@ class TestSegmentMetrics:
         assert table.segments[0].lift == 0.0
         assert table.segments[1].lift == pytest.approx(2.0)
 
+    @pytest.mark.parametrize(
+        "value, overall, expected",
+        [
+            (0.5, 0.25, (2.0, False)),
+            (0.0, 0.0, (1.0, True)),  # nothing to compare
+            (0.5, 0.0, (np.inf, True)),
+            (None, 0.0, (None, False)),
+        ],
+    )
+    def test_lift_over_the_overall_value(self, value, overall, expected):
+        assert _lift(value, overall) == expected
+
     def test_auc_single_class_segment_absent(self):
         frame = make_frame(x=[0.0, 0.0, 1.0, 1.0])
         ds = make_scored(frame, [1.0, 1.0, 1.0, 0.0], [0.9, 0.8, 0.7, 0.2])

@@ -352,6 +352,14 @@ class TestPcaMahalanobis:
         result = outliers_pca_mahalanobis(frame, variance_fraction=1.0)
         assert abs(result.scores.mean() - d) / d < 0.15
 
+    def test_constant_data_gives_zero_scores_and_no_flags(self):
+        frame = FeatureFrame.from_numeric(np.full((30, 3), 2.5))
+        with pytest.warns(UserWarning, match="^constant data: Mahalanobis distances set to 0, no flags$"):
+            result = outliers_pca_mahalanobis(frame, variance_fraction=0.9, alpha=0.05)
+        np.testing.assert_array_equal(result.scores, np.zeros(30))
+        assert result.flags.dtype == bool and not result.flags.any()
+        assert result.params == {"variance_fraction": 0.9, "alpha": 0.05, "n_components": 0}
+
     def test_infinite_cell_is_a_schema_error(self):
         # an inf reached the SVD, which raised a bare LinAlgError
         X = np.random.default_rng(0).normal(size=(50, 2))

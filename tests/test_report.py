@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from modelwatch import external
+from modelwatch import external, outcome
 from modelwatch import report as report_module
 from modelwatch.config import build_config, parse_config
 from modelwatch.data import Schema, write_csv
@@ -199,6 +199,41 @@ class TestRunMonitor:
         assert robustness["status"] == "ok"
         assert robustness["invariance"]["verdict"] == "fail"
 
+    def test_exact_reference_predictions_make_an_infinite_ratio(self, tmp_path):
+        # reference MAE 0 and current MAE above it: no finite ratio measures the loss
+        config = write_pipeline_fixture(tmp_path, shift=0.0)
+        reference = pipeline_dataset(seed=1, n=800)
+        exact = make_scored(reference.frame, reference.y_pred, reference.y_pred)
+        write_csv(exact, tmp_path / "reference.csv", Schema.from_json_dict(PIPELINE_SCHEMA_DOC))
+        report = run_monitor(parse_config(config))
+        performance = json.loads(render_report(report, "json"))["sections"]["performance"]
+        assert performance["reference"]["mae"] == 0.0
+        assert performance["ratio_current_over_reference"] == "inf"
+        assert performance["verdict"] == "fail"
+        assert [a["severity"] for a in report.alerts if a["section"] == "performance"] == ["fail"]
+
+    def test_binary_target_tracks_the_error_rate(self, tmp_path):
+        overrides = {"data": {"calibration": "calibration.csv"}, "conformal": {"alpha": 0.1}}
+        config = write_pipeline_fixture(tmp_path, config_overrides=overrides)
+        schema = Schema.from_json_dict(PIPELINE_SCHEMA_DOC)
+        datasets = {}
+        for name, seed, n in (("reference", 1, 800), ("current", 2, 400), ("calibration", 3, 300)):
+            r = np.random.default_rng(seed)
+            x0, x1 = r.normal(size=n), r.normal(size=n)
+            prob = 1.0 / (1.0 + np.exp(-(2 * x0 - x1)))
+            y = (r.random(n) < prob).astype(float)
+            datasets[name] = make_scored(make_frame(x0=x0, x1=x1), y, prob)
+            write_csv(datasets[name], tmp_path / f"{name}.csv", schema)
+        report = run_monitor(parse_config(config))
+        performance = report.sections["performance"]
+        assert performance["prediction_type"] == "binary"
+        assert performance["tracked_metric"] == "error_rate"
+        for name in ("reference", "current"):
+            values, ds = performance[name], datasets[name]
+            assert values["accuracy"] == 1.0 - values["error_rate"]
+            assert values["auc"] == outcome.metric_value("auc", ds.y_true, ds.y_pred, 0.5)
+        assert report.sections["uncertainty"]["brier_score"] > 0
+
     def test_broken_stage_marks_incomplete(self, tmp_path):
         # calibration path configured but pointing at a missing file:
         # the stage errors, other sections survive, status goes incomplete
@@ -320,6 +355,31 @@ class TestReportShape:
         assert a.sections["uncertainty"]["q_hat"] != b.sections["uncertainty"]["q_hat"]
         assert a.datasets["calibration"] != b.datasets["calibration"]
         assert a.run_id != b.run_id
+
+    @pytest.mark.parametrize("kind", ["numeric", "categorical"])
+    def test_run_id_covers_the_timestamps(self, tmp_path, kind):
+        # numeric stamps hash as floats, text stamps as their joined text
+        columns = [*PIPELINE_SCHEMA_DOC["columns"], {"name": "t", "kind": kind, "role": "timestamp"}]
+        config = write_pipeline_fixture(tmp_path, config_overrides={"schema": {"columns": columns}})
+        schema = Schema.from_json_dict({"columns": columns})
+
+        def write_timed(name, seed, n, last_day):
+            ds = pipeline_dataset(seed=seed, n=n)
+            days = [d % 28 + 1 for d in range(n - 1)] + [last_day]
+            stamps = np.array(days, dtype=float) if kind == "numeric" else [f"2024-01-{d:02d}" for d in days]
+            timed = make_scored(ds.frame, ds.y_true, ds.y_pred, timestamps=stamps)
+            write_csv(timed, tmp_path / f"{name}.csv", schema)
+
+        write_timed("reference", 1, 800, 28)
+        reports = []
+        for last_day in (27, 28):
+            write_timed("current", 2, 400, last_day)
+            reports.append(run_monitor(parse_config(config)))
+        a, b = (report.datasets for report in reports)
+        assert a["current"]["columns"]["timestamp"] != b["current"]["columns"]["timestamp"]
+        assert {**a["current"]["columns"], "timestamp": None} == {**b["current"]["columns"], "timestamp": None}
+        assert a["reference"] == b["reference"]
+        assert reports[0].run_id != reports[1].run_id
 
     def test_render_text_lists_alerts(self, tmp_path):
         cfg = parse_config(write_pipeline_fixture(tmp_path, shift=0.75))

@@ -973,3 +973,24 @@ class TestNonFiniteStatistics:
             assert np.isnan(by_metric[metric].statistic)
             assert by_metric[metric].verdict == "fail"
         assert all(r.verdict != "pass" for r in results)
+
+
+class TestThresholdBands:
+    # a value on the warn bound, or between the bounds, warns; the fail bound
+    # itself fails; a value just past the warn bound passes
+    @pytest.mark.parametrize(
+        "value, direction, verdict",
+        [
+            (0.03, "low", "warn"),
+            (0.05, "low", "warn"),
+            (0.01, "low", "fail"),
+            (0.0500001, "low", "pass"),
+            (0.2, "high", "warn"),
+            (0.1, "high", "warn"),
+            (0.25, "high", "fail"),
+            (0.0999999, "high", "pass"),
+        ],
+    )
+    def test_each_bound_belongs_to_the_worse_band(self, value, direction, verdict):
+        warn, fail = (0.05, 0.01) if direction == "low" else (0.1, 0.25)
+        assert apply_thresholds(value, warn, fail, direction) == verdict
