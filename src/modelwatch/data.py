@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import compress, zip_longest
+from itertools import compress, repeat, zip_longest
 from numbers import Real
 from typing import Generic, Iterable, Mapping, Sequence, TypeVar
 
@@ -52,6 +52,14 @@ _C = TypeVar("_C")  # the column type a schema or frame holds
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _codes_in_order(values: Sequence, absent=()) -> tuple[tuple, np.ndarray]:
+    """The distinct values not in ``absent``, in first-appearance order, and
+    each value's int64 code into them: -1 for a value in ``absent``."""
+    labels = tuple(v for v in dict.fromkeys(values) if v not in absent)
+    index = dict(zip(labels, range(len(labels))))
+    return labels, np.fromiter(map(index.get, values, repeat(-1)), np.int64, len(values))
 
 
 def _as_row_indices(idx) -> np.ndarray:
@@ -246,19 +254,8 @@ class CategoricalColumn:
     def from_labels(cls, name: str, values: Sequence[str | None]) -> "CategoricalColumn":
         """Build from label strings; None marks missing. Label table keeps
         first-appearance order so downstream frequency tables are deterministic."""
-        labels: list[str] = []
-        index: dict[str, int] = {}
-        codes = np.empty(len(values), dtype=np.int64)
-        mask = np.zeros(len(values), dtype=bool)
-        for i, v in enumerate(values):
-            if v is None:
-                mask[i] = True  # CategoricalColumn stores code -1 there
-                continue
-            if v not in index:
-                index[v] = len(labels)
-                labels.append(v)
-            codes[i] = index[v]
-        return cls(name, codes, tuple(labels), mask)
+        labels, codes = _codes_in_order(values, absent=(None,))
+        return cls(name, codes, labels, codes < 0)
 
     def label_at(self, row: int) -> str | None:
         if self.missing_mask[row]:
@@ -452,7 +449,7 @@ def _parse_numeric(token: str, row: int, col: str) -> float:
     return value
 
 
-def _timestamp_values(raw: list[str], col: str) -> np.ndarray:
+def _timestamp_values(raw: Sequence[str], col: str) -> np.ndarray:
     """Finite numbers, or ISO-8601 text when any cell is not a number."""
     try:
         for token in raw:
@@ -515,9 +512,8 @@ def load_csv(
     if (schema.role_column("target") is None) != (schema.role_column("prediction") is None):
         raise SchemaError("schema must carry both target and prediction roles, or neither")
 
-    cells: dict[str, list[str]] = {
-        spec.name: [r[positions[spec.name]] for r in rows] for spec in schema
-    }
+    columns = list(zip(*rows)) or [()] * needed  # every row has >= needed cells
+    cells = {spec.name: columns[positions[spec.name]] for spec in schema}
 
     def numeric_column(spec: ColumnSpec, allow_missing: bool) -> NumericColumn:
         raw = cells[spec.name]
@@ -544,8 +540,8 @@ def load_csv(
         if spec.kind == "numeric":
             feature_cols.append(numeric_column(spec, allow_missing=True))
         else:
-            labels = [None if t in missing else t for t in cells[spec.name]]
-            feature_cols.append(CategoricalColumn.from_labels(spec.name, labels))
+            labels, codes = _codes_in_order(cells[spec.name], missing)
+            feature_cols.append(CategoricalColumn(spec.name, codes, labels, codes < 0))
     frame = FeatureFrame(feature_cols)
 
     if not schema.is_scored():

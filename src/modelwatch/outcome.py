@@ -132,22 +132,6 @@ def _is_binary(y: np.ndarray) -> bool:
     return bool(np.all(np.isin(y, (0.0, 1.0))))
 
 
-def _average_ranks(a: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``a`` with ties sharing their mean rank, as
-    ``scipy.stats.rankdata`` gives them (its ``average`` method): all NaN
-    when any value is NaN."""
-    if np.isnan(a).any():
-        return np.full(a.shape, np.nan)
-    order = np.argsort(a, kind="mergesort")
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.arange(order.size)
-    sorted_a = a[order]
-    obs = np.r_[True, sorted_a[1:] != sorted_a[:-1]]
-    dense = obs.cumsum()[inverse]
-    count = np.r_[np.nonzero(obs)[0], obs.size]
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
-
-
 def metric_value(metric: str, y: np.ndarray, pred: np.ndarray, threshold: float) -> float | None:
     if metric == "mae":
         return float(np.mean(np.abs(y - pred)))
@@ -161,8 +145,12 @@ def metric_value(metric: str, y: np.ndarray, pred: np.ndarray, threshold: float)
         n_neg = y.size - n_pos
         if n_pos == 0 or n_neg == 0:
             return None  # single-class sample: AUC undefined
-        ranks = _average_ranks(pred)
-        return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+        if np.isnan(pred).any():
+            return float("nan")
+        # 2U (Mann-Whitney): each negative below a positive counts twice, a tie once
+        neg, scores = np.sort(pred[~pos]), pred[pos]
+        twice_u = np.searchsorted(neg, scores, "left") + np.searchsorted(neg, scores, "right")
+        return float(twice_u.sum() / 2 / (n_pos * n_neg))
     raise ValueError(f"unknown metric {metric!r}")
 
 

@@ -51,21 +51,14 @@ class MonitoringReport:
 def _json_safe(value):
     """Recursively convert to JSON-serializable types; non-finite floats
     become strings so documents stay strictly standard JSON."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        value = value.tolist()
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not np.isfinite(v):
-            return "inf" if v > 0 else ("-inf" if v < 0 else "nan")
-        return v
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if isinstance(value, float) and not np.isfinite(value):
+        return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
     return value
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._geometry import PcaBasis, fit_pca, row_blocks, sq_dists
-from .data import FeatureFrame, NumericColumn, ScoredDataset
+from .data import FeatureFrame, NumericColumn, ScoredDataset, _codes_in_order
 from .errors import DimensionMismatch, EmptySample, SchemaError
 
 DEFAULT_BINS = 10
@@ -181,16 +181,15 @@ def make_frequency_pair(
     """
     if len(x_labels) == 0 or len(y_labels) == 0:
         raise EmptySample("frequency pair needs nonempty samples")
-    categories = tuple(dict.fromkeys([*x_labels, *y_labels]))
-    index = {lbl: i for i, lbl in enumerate(categories)}
+    categories, codes = _codes_in_order([*x_labels, *y_labels])
 
-    def pmf(sample: Sequence[str]) -> np.ndarray:
-        codes = np.fromiter((index[lbl] for lbl in sample), dtype=np.intp, count=len(sample))
-        counts = np.bincount(codes, minlength=len(categories))
-        return _smoothed_pmf(counts, len(sample), epsilon)
+    def pmf(sample_codes: np.ndarray) -> np.ndarray:
+        counts = np.bincount(sample_codes, minlength=len(categories))
+        return _smoothed_pmf(counts, sample_codes.size, epsilon)
 
     edges = np.arange(len(categories) + 1, dtype=np.float64)
-    return HistogramPair(edges, pmf(x_labels), pmf(y_labels), epsilon, categories)
+    split = len(x_labels)
+    return HistogramPair(edges, pmf(codes[:split]), pmf(codes[split:]), epsilon, categories)
 
 
 def kl_divergence(h: HistogramPair) -> float:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from modelwatch.data import (
     DEFAULT_MISSING_TOKENS,
     SCORED_ROLES,
+    CategoricalColumn,
     ColumnSpec,
     FeatureFrame,
     NumericColumn,
@@ -281,6 +282,28 @@ class TestLoadCsv:
         path = write(tmp_path, "age,grade\n1,B\n2,A\n3,B\n")
         frame = load_csv(path, feature_schema())
         assert frame.column("grade").labels == ("B", "A")
+
+    def test_header_only_file_is_zero_scored_rows(self, tmp_path):
+        path = write(tmp_path, "x0,x1,y,pred\n")
+        ds = load_csv(path, simple_schema())
+        assert isinstance(ds, ScoredDataset)
+        assert ds.frame.names == ("x0", "x1") and ds.frame.n_rows == 0
+        assert ds.y_true.shape == ds.y_pred.shape == (0,)
+
+    def test_missing_token_category_is_missing_not_a_label(self, tmp_path):
+        path = write(tmp_path, "age,grade\n1,NA\n2,B\n3,NA\n4,A\n")
+        grade = load_csv(path, feature_schema()).column("grade")
+        assert grade.labels == ("B", "A")
+        assert grade.missing_mask.tolist() == [True, False, True, False]
+        assert grade.codes.tolist() == [-1, 0, -1, 1]
+
+    def test_rows_longer_than_the_header_load_as_trimmed(self, tmp_path):
+        longer = load_csv(write(tmp_path, "age,grade\n1,B,x\n2,A,y,z\n3,B\n", "a.csv"), feature_schema())
+        trimmed = load_csv(write(tmp_path, "age,grade\n1,B\n2,A\n3,B\n", "b.csv"), feature_schema())
+        assert longer.names == trimmed.names
+        assert longer.column("age").values.tolist() == trimmed.column("age").values.tolist()
+        a, b = longer.column("grade"), trimmed.column("grade")
+        assert (a.labels, a.codes.tolist()) == (b.labels, b.codes.tolist())
 
 
 class TestRoundTrip:
@@ -605,6 +628,35 @@ class TestLoadCsvFuzz:
                 return
         assert isinstance(loaded, ScoredDataset)
         assert np.isfinite(loaded.y_true).all() and np.isfinite(loaded.y_pred).all()
+
+
+def loop_from_labels(values):
+    """CategoricalColumn.from_labels as written before one coder served it
+    and load_csv: labels, codes and missing mask from a per-value loop."""
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    codes = np.full(len(values), -1, dtype=np.int64)
+    mask = np.zeros(len(values), dtype=bool)
+    for i, v in enumerate(values):
+        if v is None:
+            mask[i] = True
+            continue
+        if v not in index:
+            index[v] = len(labels)
+            labels.append(v)
+        codes[i] = index[v]
+    return tuple(labels), codes, mask
+
+
+class TestFromLabelsMatchesLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.none() | st.sampled_from(["a", "b", "", "NA", "a b"]) | st.text(max_size=2), max_size=40))
+    def test_same_labels_codes_and_mask(self, values):
+        labels, codes, mask = loop_from_labels(values)
+        col = CategoricalColumn.from_labels("g", values)
+        assert col.labels == labels
+        assert col.codes.dtype == np.int64 and col.codes.tolist() == codes.tolist()
+        assert col.missing_mask.tolist() == mask.tolist()
 
 
 def per_cell_numeric(raw: list[str], column: str, allow_missing: bool):

@@ -33,7 +33,6 @@ from modelwatch.outcome import (
     SegmentMetricRow,
     SegmentMetricsTable,
     WeakRegion,
-    _average_ranks,
     _lift,
     check_metric,
     default_error_metric,
@@ -480,23 +479,65 @@ class TestInvariance:
                 assert [col.label_at(i) for i in range(altered.n_rows)] == fills
 
 
+def average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``a`` with ties sharing their mean rank, as
+    ``scipy.stats.rankdata`` gives them (its ``average`` method): all NaN
+    when any value is NaN. The rank table the AUC was once summed from."""
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    order = np.argsort(a, kind="mergesort")
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.arange(order.size)
+    sorted_a = a[order]
+    obs = np.r_[True, sorted_a[1:] != sorted_a[:-1]]
+    dense = obs.cumsum()[inverse]
+    count = np.r_[np.nonzero(obs)[0], obs.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
+def rank_sum_auc(y: np.ndarray, pred: np.ndarray) -> float | None:
+    """metric_value("auc", ...) as written before it counted Mann-Whitney
+    pairs: the positives' rank sum less its minimum."""
+    pos = y == 1.0
+    n_pos = int(pos.sum())
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    ranks = average_ranks(pred)
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
+SCORES = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, np.inf, -np.inf, np.nan]) | st.floats(-2, 2, width=16)
+
+
 class TestAverageRanks:
+    # the reference rank table above must itself be scipy's
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, np.inf, -np.inf, np.nan]) | st.floats(-2, 2, width=16),
-            min_size=1,
-            max_size=60,
-        )
-    )
+    @given(st.lists(SCORES, min_size=1, max_size=60))
     def test_equals_scipy_rankdata(self, values):
         from scipy.stats import rankdata
 
         a = np.array(values)
-        got = _average_ranks(a)
+        got = average_ranks(a)
         expected = rankdata(a)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert np.array_equal(got, expected, equal_nan=True)
+
+
+class TestAucMatchesRankSum:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 1.0]), SCORES), min_size=1, max_size=60))
+    def test_same_bits_as_the_rank_sum(self, rows):
+        # ties, +-0.0 and +-inf rank as before; one class gives None, a NaN score NaN
+        y, pred = (np.array(v) for v in zip(*rows))
+        assert repr(metric_value("auc", y, pred, 0.5)) == repr(rank_sum_auc(y, pred))
+
+    def test_same_bits_on_many_tied_rows(self, rng):
+        y = (rng.random(20_000) < 0.3).astype(float)
+        pred = np.round(rng.normal(size=20_000) + y, 1)
+        got = metric_value("auc", y, pred, 0.5)
+        assert 0.5 < got < 1.0
+        assert repr(got) == repr(rank_sum_auc(y, pred))
 
 
 class TestMetricValue:

@@ -10,6 +10,7 @@ from modelwatch.config import build_config, parse_config
 from modelwatch.data import Schema, write_csv
 from modelwatch.errors import ConfigError
 from modelwatch.report import (
+    _json_safe,
     collect_alerts,
     exit_code_for,
     fingerprint_dataset,
@@ -414,3 +415,53 @@ class TestCollectAlerts:
         alerts = collect_alerts(sections)
         assert len(alerts) == 2
         assert {a["severity"] for a in alerts} == {"warn", "fail"}
+
+
+def ladder_json_safe(value):
+    """report._json_safe as written before numpy values went through
+    ``tolist``: one branch per numpy type."""
+    if isinstance(value, dict):
+        return {str(k): ladder_json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [ladder_json_safe(v) for v in value]
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if not np.isfinite(v):
+            return "inf" if v > 0 else ("-inf" if v < 0 else "nan")
+        return v
+    if isinstance(value, np.ndarray):
+        return [ladder_json_safe(v) for v in value.tolist()]
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    return value
+
+
+JSON_VALUES = [
+    np.float16(1.1), np.float16(np.inf), np.float32(0.1), np.float32(-np.inf), np.float64(np.nan),
+    np.float64(-0.0), -0.0, 2.5, float("inf"), float("-inf"), float("nan"),
+    np.int32(-7), np.int64(2**40), 3, True, None, "text",
+    np.bool_(True), np.bool_(False), np.str_("a b"),
+    np.array([[1.5, np.inf], [-np.inf, np.nan]], dtype=np.float32),
+    np.array([[-0.0, 1e300]]), np.arange(6, dtype=np.int32).reshape(2, 3), np.array([True, False]),
+    np.array([1, np.float32(2.5), None, "x", np.int64(3), [np.nan], {"k": np.bool_(True)}], dtype=object),
+    np.array(["a", "bc"]), np.zeros((0, 3)),
+    {"a": (np.float32(1.25), [np.int64(4)]), 7: {"nested": np.array([np.nan, -0.0])}},
+]
+
+
+class TestJsonSafeMatchesLadder:
+    @pytest.mark.parametrize("value", JSON_VALUES, ids=lambda v: type(v).__name__)
+    def test_same_json_bytes(self, value):
+        expected = json.dumps(ladder_json_safe(value), sort_keys=True)
+        assert json.dumps(_json_safe(value), sort_keys=True, allow_nan=False) == expected
+
+    @pytest.mark.parametrize(
+        "value", [np.array(1.5), np.array(np.inf, dtype=np.float32), np.array(-0.0), np.array(7), np.array(True)]
+    )
+    def test_zero_d_array_reads_as_its_scalar(self, value):
+        # the ladder iterated the scalar tolist() gives, and raised
+        with pytest.raises(TypeError):
+            ladder_json_safe(value)
+        assert json.dumps(_json_safe(value)) == json.dumps(ladder_json_safe(value[()]))

@@ -116,6 +116,17 @@ def test_segment_edges_and_labels_aligned_once_in_outcome_module():
     assert found == []
 
 
+def test_first_appearance_coding_once_in_data_module():
+    # category labels in first-appearance order and their codes come from one
+    # coder, data._codes_in_order, for from_labels, load_csv and the drift
+    # scan's frequency tables; outcome.py keeps its own segment-label map
+    data = (PACKAGE / "data.py").read_text(encoding="utf-8")
+    shift = (PACKAGE / "shift.py").read_text(encoding="utf-8")
+    assert data.count("dict.fromkeys(") == 1
+    assert "dict.fromkeys(" not in shift
+    assert "_codes_in_order(" in shift
+
+
 def test_sample_rules_written_once():
     # each rule below has one owner; a second copy drifts from the first:
     # the two ECDFs of a KS or W1 pair (shift._cdf_gaps), a declared value's
